@@ -289,6 +289,31 @@ func main() {
 			},
 		})
 	}
+	for _, m := range []int{2, 4, 8} {
+		benchCases = append(benchCases, benchCase{
+			name: "MultiprocLTFReject", n: 64, m: m,
+			setup: func() (func() error, func() cache.Stats, error) {
+				in, err := multiprocInstance(64, m)
+				if err != nil {
+					return nil, nil, err
+				}
+				return func() error { _, err := (multiproc.LTFReject{}).Solve(in); return err }, nil, nil
+			},
+		})
+	}
+	// The BenchmarkMultiprocExhaustive instance, searched serially so the
+	// row does not depend on the core count.
+	benchCases = append(benchCases, benchCase{
+		name: "MultiprocExhaustive", n: 10, m: 2,
+		setup: func() (func() error, func() cache.Stats, error) {
+			set, err := gen.Frame(rand.New(rand.NewSource(42)), gen.Config{N: 10, Load: 3, Deadline: 1000})
+			if err != nil {
+				return nil, nil, err
+			}
+			in := multiproc.Instance{Tasks: set, Proc: speed.Proc{Model: power.Cubic(), SMax: 1}, M: 2}
+			return func() error { _, err := (multiproc.Exhaustive{Workers: 1}).Solve(in); return err }, nil, nil
+		},
+	})
 	for _, m := range []int{2, 4} {
 		benchCases = append(benchCases, benchCase{
 			name: "HeteroPartition", n: 24, m: m,

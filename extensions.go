@@ -37,7 +37,8 @@ var SimulateEDF = edf.Simulate
 var ComputeYDS = yds.Compute
 
 // Multiprocessor extension: partitioned-EDF rejection on M identical
-// processors.
+// processors — the all-equal case of the internal processor-profile-vector
+// solvers, which these types wrap.
 type (
 	// MultiprocInstance is a multiprocessor rejection problem.
 	MultiprocInstance = multiproc.Instance
@@ -45,9 +46,10 @@ type (
 	MultiprocSolution = multiproc.Solution
 	// LTFReject is the constructive partition+admission heuristic.
 	LTFReject = multiproc.LTFReject
-	// LTFRejectLS adds move/migrate/swap/exchange local search.
+	// LTFRejectLS adds reject/admit/migrate/swap/exchange local search.
 	LTFRejectLS = multiproc.LTFRejectLS
-	// MultiprocExhaustive is the exact partitioned reference (tiny n).
+	// MultiprocExhaustive is the exact partitioned reference (tiny n),
+	// with an optional prefix-parallel search (Workers).
 	MultiprocExhaustive = multiproc.Exhaustive
 )
 

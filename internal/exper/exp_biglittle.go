@@ -14,8 +14,8 @@ import (
 // big:little speed ratio grows, plus the certified optimality gap that
 // the pooled LP-style relaxation (HeteroLowerBound) proves for
 // HETERO-PART without any exhaustive reference. Ratio 1 is the
-// identical-processor degeneracy row — by the bit-match contract it must
-// reproduce E9's solver behaviour exactly.
+// identical-processor row: the same solvers E9 runs through the
+// identical-processor wrappers.
 func Exp16(o Options) (Table, error) {
 	ratios := []float64{1, 2, 4}
 	if o.Quick {

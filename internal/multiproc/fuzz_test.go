@@ -4,8 +4,8 @@
 // every solution survives the heterogeneous partition oracle (including
 // per-processor EDF replay), HETERO-PART never costs more than HETERO-LS,
 // nothing undercuts the certified HeteroLowerBound or the exhaustive
-// optimum, and on an all-equal vector the hetero solvers degenerate bit
-// for bit (node counts included) to the identical-processor ones.
+// optimum, and the parallel exhaustive search reproduces the serial one
+// bit for bit.
 package multiproc_test
 
 import (
@@ -94,7 +94,7 @@ func checkHeteroFuzz(ratio, mCount, nBig int) func(core.Instance) error {
 				return err
 			}
 		}
-		opt, optNodes, optErr := (multiproc.HeteroExhaustive{MaxAssignments: 600_000}).SolveStats(in)
+		opt, _, optErr := (multiproc.HeteroExhaustive{MaxAssignments: 600_000}).SolveStats(in)
 		if optErr == nil {
 			if err := oracle.CheckNotBelow("HETERO-PART vs HETERO-OPT", part.Cost, opt.Cost, 1e-9); err != nil {
 				return err
@@ -107,30 +107,14 @@ func checkHeteroFuzz(ratio, mCount, nBig int) func(core.Instance) error {
 					return err
 				}
 			}
-		}
-
-		// All-equal vector: the hetero path must degenerate bit for bit to
-		// the identical-processor solvers, node counts included.
-		if ratio == 1 || nBig == mCount {
-			ident := multiproc.Instance{Tasks: in.Tasks, Proc: in.Procs[0], M: mCount}
-			want, err := (multiproc.LTFRejectLS{}).Solve(ident)
+			// The parallel prefix search must reproduce the serial one bit
+			// for bit, symmetry reduction over the fuzzed groups included.
+			par, err := (multiproc.HeteroExhaustive{MaxAssignments: 600_000, Workers: 4}).Solve(in)
 			if err != nil {
-				return fmt.Errorf("LTF-REJECT-LS (degenerate): %w", err)
+				return fmt.Errorf("HETERO-OPT (parallel): %w", err)
 			}
-			if err := oracle.EqualPartitionSolutions(fuzzPartitionOf(ls), fuzzPartitionOf(want)); err != nil {
-				return fmt.Errorf("degeneracy HETERO-LS vs LTF-REJECT-LS: %w", err)
-			}
-			if optErr == nil {
-				wantOpt, wantNodes, err := (multiproc.Exhaustive{MaxAssignments: 600_000}).SolveStats(ident)
-				if err != nil {
-					return fmt.Errorf("OPT (degenerate): %w", err)
-				}
-				if err := oracle.EqualPartitionSolutions(fuzzPartitionOf(opt), fuzzPartitionOf(wantOpt)); err != nil {
-					return fmt.Errorf("degeneracy HETERO-OPT vs OPT: %w", err)
-				}
-				if optNodes != wantNodes {
-					return fmt.Errorf("degeneracy node count %d, identical-processor search %d", optNodes, wantNodes)
-				}
+			if err := oracle.EqualPartitionSolutions(fuzzPartitionOf(par), fuzzPartitionOf(opt)); err != nil {
+				return fmt.Errorf("HETERO-OPT parallel vs serial: %w", err)
 			}
 		}
 		return nil
@@ -139,7 +123,7 @@ func checkHeteroFuzz(ratio, mCount, nBig int) func(core.Instance) error {
 
 // FuzzHeteroPartition decodes arbitrary bytes into an instance, lifts it
 // into a fuzzed two-type processor vector, and checks the heterogeneous
-// tier's oracle, ordering, lower-bound and degeneracy contracts.
+// tier's oracle, ordering, lower-bound and parallel-search contracts.
 func FuzzHeteroPartition(f *testing.F) {
 	for _, s := range verify.SeedInstances() {
 		if data, ok := verify.EncodeInstance(s.In); ok {

@@ -1,28 +1,22 @@
-// Heterogeneous partitioned rejection: M processors with *distinct*
-// speed/power descriptions (the two-type big.LITTLE setting of the
-// Thammawichai & Kerrigan line, generalized to arbitrary profile
-// vectors). A solution still assigns every task to one processor or
-// rejects it; each processor runs its accepted workload at its own
-// minimum-energy speed, and the objective remains total energy plus
-// total rejection penalty.
-//
-// Every solver here degenerates bit-exactly to its identical-processor
-// counterpart when all profiles are equal: the constructive pass visits
-// candidate processors in (load, index) order — which reduces to the
-// seed's least-loaded rule — the local-search move loops keep the same
-// float expression order with per-processor curves, and the exhaustive
-// search restricts its empty-processor symmetry reduction to
-// same-profile groups, which collapses to the seed's single "first
-// empty" rule. The differential corpus pins all three reductions,
-// including branch-and-bound node counts.
+// Partitioned rejection on a processor profile vector: M processors, each
+// with its own speed/power description (the two-type big.LITTLE setting of
+// the Thammawichai & Kerrigan line, generalized to arbitrary vectors). A
+// solution assigns every task to one processor or rejects it; each
+// processor runs its accepted workload at its own minimum-energy speed,
+// and the objective remains total energy plus total rejection penalty.
+// The identical-processor solvers in multiproc.go run these solvers on the
+// all-equal vector AsHetero builds.
 package multiproc
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 
+	"dvsreject/internal/conc"
 	"dvsreject/internal/core"
 	"dvsreject/internal/speed"
 	"dvsreject/internal/task"
@@ -61,9 +55,8 @@ func (in HeteroInstance) Validate() error {
 	return nil
 }
 
-// AsHetero lifts an identical-processor instance into the heterogeneous
-// form: M copies of the same profile. Solvers on the lifted instance
-// reproduce the identical-processor solvers bit for bit.
+// AsHetero lifts an identical-processor instance into the profile-vector
+// form: M copies of the same profile.
 func AsHetero(in Instance) HeteroInstance {
 	procs := make([]speed.Proc, in.M)
 	for m := range procs {
@@ -81,43 +74,41 @@ func procsEqual(a, b speed.Proc) bool {
 		slices.Equal(a.Levels, b.Levels)
 }
 
-// heteroCtx is the per-solve evaluation context: one energy curve and one
-// capacity threshold per processor, mirroring mpCtx per profile so that
-// on an all-equal vector every probe returns the identical bits.
-// Immutable after construction.
+// heteroProc is one processor's per-solve state.
+type heteroProc struct {
+	curve    speed.Curve
+	capSlack float64 // capacity·(1+1e-9), the acceptance threshold
+	// group is the index of the first processor equal to this one — the
+	// symmetry group key (group == own index for group leaders).
+	group int
+}
+
+// heteroCtx is the per-solve evaluation context: the validated instance
+// and one heteroProc per processor. Equal processors share their group
+// leader's curve (and with it a discrete ladder's power memo). Immutable
+// after construction; safe for concurrent use by parallel search workers.
 type heteroCtx struct {
-	in       HeteroInstance
-	capSlack []float64 // per-processor capacity·(1+1e-9)
-	curves   []speed.Curve
-	// typeOf[m] is the index of the first processor bit-equal to m — the
-	// symmetry group key (typeOf[m] == m for group leaders).
-	typeOf []int
-	types  int // number of distinct groups
+	in    HeteroInstance
+	procs []heteroProc
 }
 
 func newHeteroCtx(in HeteroInstance) (*heteroCtx, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	m := in.M()
-	c := &heteroCtx{
-		in:       in,
-		capSlack: make([]float64, m),
-		curves:   make([]speed.Curve, m),
-		typeOf:   make([]int, m),
-	}
+	c := &heteroCtx{in: in, procs: make([]heteroProc, in.M())}
 	for i, p := range in.Procs {
-		c.capSlack[i] = p.Capacity(in.Tasks.Deadline) * (1 + 1e-9)
-		c.curves[i] = speed.NewCurve(p, in.Tasks.Deadline)
-		c.typeOf[i] = i
+		hp := &c.procs[i]
+		hp.group = i
 		for j := 0; j < i; j++ {
-			if procsEqual(in.Procs[j], p) {
-				c.typeOf[i] = c.typeOf[j]
+			if c.procs[j].group == j && procsEqual(in.Procs[j], p) {
+				*hp = c.procs[j]
 				break
 			}
 		}
-		if c.typeOf[i] == i {
-			c.types++
+		if hp.group == i {
+			hp.curve = speed.NewCurve(p, in.Tasks.Deadline)
+			hp.capSlack = p.Capacity(in.Tasks.Deadline) * (1 + 1e-9)
 		}
 	}
 	return c, nil
@@ -125,57 +116,30 @@ func newHeteroCtx(in HeteroInstance) (*heteroCtx, error) {
 
 // energyAt returns processor m's frame energy at an integer workload,
 // identical to in.Procs[m].Energy(float64(w), in.Tasks.Deadline).
-func (c *heteroCtx) energyAt(m int, w int64) float64 { return c.curves[m].Energy(float64(w)) }
+func (c *heteroCtx) energyAt(m int, w int64) float64 { return c.procs[m].curve.Energy(float64(w)) }
 
 // overloads reports whether w cycles exceed processor m's capacity, with
-// the same float slack the identical-processor context applies.
-func (c *heteroCtx) overloads(m int, w int64) bool { return float64(w) > c.capSlack[m] }
+// a 1e-9 relative float slack.
+func (c *heteroCtx) overloads(m int, w int64) bool { return float64(w) > c.procs[m].capSlack }
 
-// assignment converts a position vector into the public Assignment map.
-func (c *heteroCtx) assignment(pos []int) Assignment {
-	assign := Assignment{}
-	for i, m := range pos {
-		if m >= 0 {
-			assign[c.in.Tasks.Tasks[i].ID] = m
-		}
-	}
-	return assign
-}
-
-// EvaluateHetero costs a full assignment exactly on the heterogeneous
-// instance. Tasks absent from the map (or mapped to a negative index) are
-// rejected. It errors on out-of-range processor indices, on assignments
-// referencing task IDs the instance does not contain, and when any
-// processor exceeds its own capacity.
-func EvaluateHetero(in HeteroInstance, assign Assignment) (Solution, error) {
-	if err := in.Validate(); err != nil {
-		return Solution{}, err
-	}
+// evaluate costs a position vector (pos[i] = processor of task i, -1 when
+// rejected) on a validated instance.
+func evaluate(in HeteroInstance, pos []int) (Solution, error) {
 	mCount := in.M()
 	sol := Solution{
 		PerProc:  make([][]int, mCount),
 		Energies: make([]float64, mCount),
 	}
 	loads := make([]int64, mCount)
-	known := 0
-	for _, t := range in.Tasks.Tasks {
-		m, ok := assign[t.ID]
-		if ok {
-			known++
-		}
-		if !ok || m < 0 {
+	for i, t := range in.Tasks.Tasks {
+		m := pos[i]
+		if m < 0 {
 			sol.Rejected = append(sol.Rejected, t.ID)
 			sol.Penalty += t.Penalty
 			continue
 		}
-		if m >= mCount {
-			return Solution{}, fmt.Errorf("multiproc: task %d assigned to processor %d of %d", t.ID, m, mCount)
-		}
 		sol.PerProc[m] = append(sol.PerProc[m], t.ID)
 		loads[m] += t.Cycles
-	}
-	if known != len(assign) {
-		return Solution{}, fmt.Errorf("multiproc: assignment references %d unknown task IDs", len(assign)-known)
 	}
 	for m := 0; m < mCount; m++ {
 		slices.Sort(sol.PerProc[m])
@@ -189,6 +153,37 @@ func EvaluateHetero(in HeteroInstance, assign Assignment) (Solution, error) {
 	slices.Sort(sol.Rejected)
 	sol.Cost = sol.Energy + sol.Penalty
 	return sol, nil
+}
+
+// EvaluateHetero costs a full assignment exactly on the heterogeneous
+// instance. Tasks absent from the map (or mapped to a negative index) are
+// rejected. It errors on out-of-range processor indices, on assignments
+// referencing task IDs the instance does not contain, and when any
+// processor exceeds its own capacity.
+func EvaluateHetero(in HeteroInstance, assign Assignment) (Solution, error) {
+	if err := in.Validate(); err != nil {
+		return Solution{}, err
+	}
+	pos := make([]int, len(in.Tasks.Tasks))
+	known := 0
+	for i, t := range in.Tasks.Tasks {
+		m, ok := assign[t.ID]
+		if ok {
+			known++
+		}
+		if !ok || m < 0 {
+			pos[i] = -1
+			continue
+		}
+		if m >= in.M() {
+			return Solution{}, fmt.Errorf("multiproc: task %d assigned to processor %d of %d", t.ID, m, in.M())
+		}
+		pos[i] = m
+	}
+	if known != len(assign) {
+		return Solution{}, fmt.Errorf("multiproc: assignment references %d unknown task IDs", len(assign)-known)
+	}
+	return evaluate(in, pos)
 }
 
 // HeteroSolver is one heterogeneous admission/partitioning algorithm.
@@ -218,14 +213,33 @@ func HeteroSolverNames() []string {
 	return []string{"HETERO-PART", "HETERO-LTF", "HETERO-LS", "HETERO-OPT"}
 }
 
-// HeteroLTFReject is the constructive heuristic generalized to distinct
-// profiles: tasks in non-increasing penalty density, candidate processors
-// in (load ascending, index ascending) order, accept on the first
-// candidate that fits iff its marginal energy there is below the task's
-// penalty. On an all-equal profile vector the first candidate is exactly
-// the seed's least-loaded processor (and if it cannot fit the task,
-// neither can any other equal-capacity processor), so the decisions are
-// bit-identical to LTFReject.
+// densityOrder returns the task indices in non-increasing penalty density
+// vi/ci, ties kept in input order.
+func densityOrder(tasks []task.Task) []int {
+	ord := make([]int, len(tasks))
+	for i := range ord {
+		ord[i] = i
+	}
+	denser := func(a, b int) bool {
+		return tasks[a].Penalty*float64(tasks[b].Cycles) > tasks[b].Penalty*float64(tasks[a].Cycles)
+	}
+	slices.SortStableFunc(ord, func(a, b int) int {
+		switch {
+		case denser(a, b):
+			return -1
+		case denser(b, a):
+			return 1
+		}
+		return 0
+	})
+	return ord
+}
+
+// HeteroLTFReject is the Largest-Task-First-style constructive heuristic
+// with admission control: tasks in non-increasing penalty density, each
+// tentatively placed on the least-loaded processor that has room for it
+// (lowest index among equal loads), and accepted iff its marginal energy
+// there is below its penalty.
 type HeteroLTFReject struct{}
 
 // Name implements HeteroSolver.
@@ -238,75 +252,64 @@ func (HeteroLTFReject) Solve(in HeteroInstance) (Solution, error) {
 		return Solution{}, err
 	}
 	pos, _ := c.heteroLTFReject()
-	return EvaluateHetero(in, c.assignment(pos))
+	return evaluate(c.in, pos)
 }
 
-// heteroLTFReject runs the constructive pass, returning pos[i] = processor
-// of task i (-1 when rejected) and the per-processor loads — the warm
-// start of the local search, as in the identical-processor path.
+// heteroLTFReject runs the constructive pass. It returns pos[i] = processor
+// of task i (-1 when rejected) together with the per-processor loads, the
+// warm start of the local search.
 func (c *heteroCtx) heteroLTFReject() (pos []int, loads []int64) {
 	tasks := c.in.Tasks.Tasks
-	mCount := c.in.M()
-	ord := make([]int, len(tasks))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return tasks[ord[a]].Penalty*float64(tasks[ord[b]].Cycles) >
-			tasks[ord[b]].Penalty*float64(tasks[ord[a]].Cycles)
-	})
-	loads = make([]int64, mCount)
+	loads = make([]int64, len(c.procs))
 	pos = make([]int, len(tasks))
 	for i := range pos {
 		pos[i] = -1
 	}
-	cand := make([]int, mCount)
-	for _, ti := range ord {
+	for _, ti := range densityOrder(tasks) {
 		t := tasks[ti]
-		// Candidate processors in (load, index) order; sort.Slice on the
-		// integer loads with an index tie-break is fully deterministic.
-		for i := range cand {
-			cand[i] = i
+		m := -1
+		for k, w := range loads {
+			if (m < 0 || w < loads[m]) && !c.overloads(k, w+t.Cycles) {
+				m = k
+			}
 		}
-		sort.Slice(cand, func(a, b int) bool {
-			if loads[cand[a]] != loads[cand[b]] {
-				return loads[cand[a]] < loads[cand[b]]
-			}
-			return cand[a] < cand[b]
-		})
-		for _, m := range cand {
-			if c.overloads(m, loads[m]+t.Cycles) {
-				continue
-			}
-			marginal := c.energyAt(m, loads[m]+t.Cycles) - c.energyAt(m, loads[m])
-			if marginal < t.Penalty {
-				pos[ti] = m
-				loads[m] += t.Cycles
-			}
-			break // decide on the first fitting candidate only
+		if m < 0 {
+			continue
+		}
+		w := loads[m]
+		marginal := c.energyAt(m, w+t.Cycles) - c.energyAt(m, w)
+		if marginal < t.Penalty {
+			pos[ti] = m
+			loads[m] += t.Cycles
 		}
 	}
 	return pos, loads
 }
 
-// HeteroLTFRejectLS refines HeteroLTFReject with the same steepest-descent
-// neighbourhood as LTFRejectLS — reject, admit, migrate, swap-in-out and
-// cross-processor exchange — with every energy probe going through the
-// touched processor's own curve. The gain expressions keep the
-// identical-processor code's float operation order, so on an all-equal
-// vector the move sequence and final solution are bit-identical to
-// LTFRejectLS.
+// HeteroLTFRejectLS refines HeteroLTFReject with steepest-descent local
+// search over five move kinds: reject an accepted task, admit a rejected
+// task onto its best processor, migrate an accepted task to another
+// processor, swap an accepted task out for a rejected one, and exchange
+// two accepted tasks across processors (the move that repairs the load
+// balance convexity rewards but density-ordered placement misses). Every
+// energy probe goes through the touched processor's own curve.
 type HeteroLTFRejectLS struct {
 	// MaxIterations bounds the move count; 0 means 10·n.
 	MaxIterations int
-	// DisableExchange restricts the neighbourhood to single-task moves.
+	// DisableExchange restricts the neighbourhood to single-task moves
+	// (the pre-exchange behaviour, kept for ablation).
 	DisableExchange bool
 }
 
 // Name implements HeteroSolver.
 func (HeteroLTFRejectLS) Name() string { return "HETERO-LS" }
 
-// Solve implements HeteroSolver.
+// Solve implements HeteroSolver. Move evaluation is incremental: the
+// energy of every processor at its current load is cached across the
+// whole sweep (loads only change when a move is applied), so probing a
+// move costs only the energies of the one or two touched processors at
+// their changed loads — O(1) closed-form probes on continuous-speed
+// processors — instead of re-pricing untouched processors.
 func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 	c, err := newHeteroCtx(in)
 	if err != nil {
@@ -320,23 +323,32 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 	tasks := in.Tasks.Tasks
 	mCount := in.M()
 
+	// procE[m] = energyAt(m, loads[m]), refreshed after each applied move.
 	procE := make([]float64, mCount)
 	for m := range procE {
 		procE[m] = c.energyAt(m, loads[m])
 	}
+	// addE[ti·M+m] = energyAt(m, loads[m]+cycles(ti)), the "task ti lands
+	// on processor m" probe shared by the migrate, admit and swap moves —
+	// +Inf when the task does not fit there, so every gain built on it is
+	// -Inf or NaN and never beats bestGain: those moves need no capacity
+	// check of their own. Loads only change when a move is applied, so the
+	// table is refilled once per iteration; a task's own processor is
+	// never probed and left stale.
 	addE := make([]float64, len(tasks)*mCount)
-	probeAdd := func(ti, m int) float64 {
-		e := addE[ti*mCount+m]
-		if e != e {
-			e = c.energyAt(m, loads[m]+tasks[ti].Cycles)
-			addE[ti*mCount+m] = e
-		}
-		return e
-	}
 
 	for iter := 0; iter < limit; iter++ {
-		for i := range addE {
-			addE[i] = math.NaN()
+		for ti, t := range tasks {
+			row := addE[ti*mCount : (ti+1)*mCount]
+			for m := range row {
+				switch w := loads[m] + t.Cycles; {
+				case m == pos[ti]:
+				case c.overloads(m, w):
+					row[m] = math.Inf(1)
+				default:
+					row[m] = c.energyAt(m, w)
+				}
+			}
 		}
 		bestGain := 1e-9
 		var apply func()
@@ -355,11 +367,11 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 				}
 				// Migrate.
 				for m := 0; m < mCount; m++ {
-					if m == cur || c.overloads(m, loads[m]+t.Cycles) {
+					if m == cur {
 						continue
 					}
 					gain := procE[cur] + procE[m] -
-						removed - probeAdd(ti, m)
+						removed - addE[ti*mCount+m]
 					if gain > bestGain {
 						bestGain = gain
 						from, to := cur, m
@@ -373,10 +385,7 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 			} else {
 				// Admit onto the best processor.
 				for m := 0; m < mCount; m++ {
-					if c.overloads(m, loads[m]+t.Cycles) {
-						continue
-					}
-					gain := t.Penalty - (probeAdd(ti, m) - procE[m])
+					gain := t.Penalty - (addE[ti*mCount+m] - procE[m])
 					if gain > bestGain {
 						bestGain = gain
 						to := m
@@ -386,7 +395,9 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 			}
 		}
 
-		// Swap an accepted task out for a rejected one.
+		// Swap an accepted task out for a rejected one (possibly on a
+		// different processor) — the compound admission repair no pair of
+		// single moves reaches when both halves are individually losing.
 		if !g.DisableExchange {
 			for oi := range tasks {
 				mo := pos[oi]
@@ -395,6 +406,8 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 				}
 				out := tasks[oi]
 				oi := oi
+				// Both terms of the out-processor's energy delta are
+				// invariant across the inner loops.
 				outDelta := procE[mo] - c.energyAt(mo, loads[mo]-out.Cycles)
 				for ii := range tasks {
 					if pos[ii] >= 0 {
@@ -403,19 +416,16 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 					inc := tasks[ii]
 					ii := ii
 					for m := 0; m < mCount; m++ {
-						load := loads[m]
-						if m == mo {
-							load -= out.Cycles
-						}
-						if c.overloads(m, load+inc.Cycles) {
-							continue
-						}
 						gain := inc.Penalty - out.Penalty
 						if m == mo {
-							gain += procE[mo] - c.energyAt(m, load+inc.Cycles)
+							load := loads[mo] - out.Cycles + inc.Cycles
+							if c.overloads(mo, load) {
+								continue
+							}
+							gain += procE[mo] - c.energyAt(mo, load)
 						} else {
 							gain += outDelta
-							gain += procE[m] - probeAdd(ii, m)
+							gain += procE[m] - addE[ii*mCount+m]
 						}
 						if gain > bestGain {
 							bestGain = gain
@@ -474,18 +484,23 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 			procE[m] = c.energyAt(m, loads[m])
 		}
 	}
-	return EvaluateHetero(in, c.assignment(pos))
+	return evaluate(c.in, pos)
 }
 
-// HeteroExhaustive enumerates all (M+1)ⁿ assignments with the symmetry
-// reduction restricted to same-profile groups — only the first *empty
-// processor of each distinct profile* is tried, which on an all-equal
-// vector collapses to the seed's single "first empty" rule, making the
-// search (and its node count) identical to Exhaustive. Exact for tiny
-// instances; serial, so SolveStats node counts are deterministic.
+// HeteroExhaustive enumerates all (M+1)ⁿ assignments by branch and bound,
+// with a symmetry reduction over groups of equal processors: among the
+// empty processors of one group only the first is tried. Exact for tiny
+// instances (the experiment suite's optimum reference).
 type HeteroExhaustive struct {
 	// MaxAssignments guards the search space; 0 means 5 million.
 	MaxAssignments int64
+	// Workers sets the parallel fan-out of Solve: the top of the search
+	// tree is split into prefix subtrees that a worker pool explores
+	// concurrently against a shared atomic incumbent bound. 0 means
+	// GOMAXPROCS, 1 forces the serial search. The returned solution is
+	// identical either way; SolveStats always searches serially so its
+	// node counts stay deterministic.
+	Workers int
 }
 
 // Name implements HeteroSolver.
@@ -493,118 +508,282 @@ func (HeteroExhaustive) Name() string { return "HETERO-OPT" }
 
 // Solve implements HeteroSolver.
 func (e HeteroExhaustive) Solve(in HeteroInstance) (Solution, error) {
-	sol, _, err := e.SolveStats(in)
-	return sol, err
+	workers := e.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 {
+		sol, _, err := e.SolveStats(in)
+		return sol, err
+	}
+	c, err := e.prepare(in)
+	if err != nil {
+		return Solution{}, err
+	}
+	return c.searchParallel(workers)
 }
 
 // SolveStats is Solve plus the number of branch-and-bound nodes entered —
-// the instrumentation the differential corpus compares against the
-// identical-processor search on degenerate vectors.
+// the instrumentation the search-ablation experiments and the differential
+// tests read. The search is always serial here, keeping the node counts
+// deterministic and comparable across runs.
 func (e HeteroExhaustive) SolveStats(in HeteroInstance) (Solution, int64, error) {
-	c, err := newHeteroCtx(in)
+	c, err := e.prepare(in)
 	if err != nil {
 		return Solution{}, 0, err
 	}
-	n := len(in.Tasks.Tasks)
+	s := newHeteroSearcher(c)
+	s.dfs(0, 0)
+	sol, err := s.finish()
+	return sol, s.nodes, err
+}
+
+// prepare validates the instance and checks the assignment-count guard —
+// the work shared by the serial and parallel drivers.
+func (e HeteroExhaustive) prepare(in HeteroInstance) (*heteroCtx, error) {
+	c, err := newHeteroCtx(in)
+	if err != nil {
+		return nil, err
+	}
 	limit := e.MaxAssignments
 	if limit == 0 {
 		limit = 5_000_000
 	}
 	total := int64(1)
-	for i := 0; i < n; i++ {
+	for range in.Tasks.Tasks {
 		total *= int64(in.M() + 1)
 		if total > limit {
-			return Solution{}, 0, fmt.Errorf("multiproc: exhaustive search needs %d+ assignments, over the limit %d", total, limit)
+			return nil, fmt.Errorf("multiproc: exhaustive search needs %d+ assignments, over the limit %d", total, limit)
 		}
 	}
-	s := &heteroSearcher{
-		c:        c,
-		n:        n,
-		loads:    make([]int64, in.M()),
-		choice:   make([]int, n),
-		bestCost: math.Inf(1),
-	}
-	s.dfs(0, 0)
-	if s.best == nil && !math.IsInf(s.bestCost, 1) {
-		s.best = Assignment{} // everything rejected
-	}
-	if math.IsInf(s.bestCost, 1) {
-		return Solution{}, s.nodes, fmt.Errorf("multiproc: exhaustive search found no solution")
-	}
-	sol, err := EvaluateHetero(in, s.best)
-	return sol, s.nodes, err
+	return c, nil
 }
 
-// heteroSearcher is the branch-and-bound state of HeteroExhaustive.
+// placements appends to dst the processors a task of the given cycles may
+// join from loads, in index order: every processor with room for it,
+// except that among the empty processors of one symmetry group only the
+// first is tried (placements on the others are permutations of it). tried
+// is all-false scratch of length M and is left all-false.
+func (c *heteroCtx) placements(dst []int, loads []int64, cycles int64, tried []bool) []int {
+	for m, w := range loads {
+		if w == 0 {
+			g := c.procs[m].group
+			if tried[g] {
+				continue
+			}
+			tried[g] = true
+		}
+		if c.overloads(m, w+cycles) {
+			continue
+		}
+		dst = append(dst, m)
+	}
+	clear(tried)
+	return dst
+}
+
+// searchParallel fans the top of the search tree out to a worker pool: the
+// first splitDepth placement decisions enumerate prefix subtrees in serial
+// DFS visit order (the same placements as the serial search, no bound
+// pruning), workers explore them concurrently sharing an atomic incumbent
+// cost, and the per-subtree winners are folded back in DFS order under the
+// serial improvement rule — so the returned solution matches the serial
+// search.
+func (c *heteroCtx) searchParallel(workers int) (Solution, error) {
+	tasks := c.in.Tasks.Tasks
+	mCount := len(c.procs)
+
+	// Split deep enough to keep every worker busy (≥4 subtrees each), but
+	// never to the leaves; each level multiplies the prefix count by up to
+	// M+1 (M placements + reject), so a shallow split suffices.
+	splitDepth, count := 0, 1
+	for splitDepth < len(tasks)-1 && splitDepth < 8 && count < 4*workers {
+		splitDepth++
+		count *= mCount + 1
+	}
+	if splitDepth == 0 {
+		s := newHeteroSearcher(c)
+		s.dfs(0, 0)
+		return s.finish()
+	}
+
+	type prefix struct {
+		loads   []int64
+		choice  []int
+		penalty float64
+	}
+	var prefixes []prefix
+	loads := make([]int64, mCount)
+	choice := make([]int, splitDepth)
+	cand := make([]int, splitDepth*mCount)
+	tried := make([]bool, mCount)
+	var enumerate func(i int, penalty float64)
+	enumerate = func(i int, penalty float64) {
+		if i == splitDepth {
+			prefixes = append(prefixes, prefix{
+				loads: slices.Clone(loads), choice: slices.Clone(choice), penalty: penalty,
+			})
+			return
+		}
+		t := tasks[i]
+		for _, m := range c.placements(cand[i*mCount:i*mCount:(i+1)*mCount], loads, t.Cycles, tried) {
+			loads[m] += t.Cycles
+			choice[i] = m
+			enumerate(i+1, penalty)
+			loads[m] -= t.Cycles
+		}
+		choice[i] = -1
+		enumerate(i+1, penalty+t.Penalty)
+	}
+	enumerate(0, 0)
+
+	// The shared incumbent: the best cost any worker has proven so far,
+	// maintained with a CAS-min over its float bits.
+	var shared atomic.Uint64
+	shared.Store(math.Float64bits(math.Inf(1)))
+
+	// The subtree searches never fail, so neither does ForEach.
+	winners, _ := conc.ForEach(len(prefixes), workers, func(i int) (*heteroSearcher, error) {
+		p := prefixes[i]
+		s := newHeteroSearcher(c)
+		s.shared = &shared
+		s.setLoads(p.loads)
+		copy(s.choice, p.choice)
+		s.dfs(splitDepth, p.penalty)
+		return s, nil
+	})
+
+	// Fold the subtree winners in DFS order with the serial improvement
+	// rule.
+	best := winners[0]
+	for _, s := range winners[1:] {
+		if s.bestCost < best.bestCost-1e-12 {
+			best = s
+		}
+	}
+	return best.finish()
+}
+
+// heteroSearcher is one branch-and-bound search state: the serial search
+// uses a single instance, the parallel search one per subtree (plus the
+// shared incumbent they prune against).
 type heteroSearcher struct {
 	c      *heteroCtx
-	n      int
 	loads  []int64
-	choice []int // -1 reject, else processor
+	procE  []float64 // procE[m] = energyAt(m, loads[m])
+	choice []int     // -1 reject, else processor
+	// cand[i·M:(i+1)·M] holds the placements of task i at its current
+	// node; tried is the placements scratch.
+	cand  []int
+	tried []bool
 
 	bestCost float64
-	best     Assignment
+	best     []int // the incumbent's choice vector
 	nodes    int64
+
+	// shared, when non-nil (parallel mode), is the cross-worker incumbent
+	// cost as float bits; workers prune against it and publish their own
+	// improvements into it.
+	shared *atomic.Uint64
+}
+
+func newHeteroSearcher(c *heteroCtx) *heteroSearcher {
+	n, mCount := len(c.in.Tasks.Tasks), len(c.procs)
+	s := &heteroSearcher{
+		c:        c,
+		loads:    make([]int64, mCount),
+		procE:    make([]float64, mCount),
+		choice:   make([]int, n),
+		cand:     make([]int, n*mCount),
+		tried:    make([]bool, mCount),
+		bestCost: math.Inf(1),
+		best:     make([]int, n),
+	}
+	for m := range s.procE {
+		s.procE[m] = c.energyAt(m, 0)
+	}
+	return s
+}
+
+// setLoads starts the search from the given per-processor loads.
+func (s *heteroSearcher) setLoads(loads []int64) {
+	copy(s.loads, loads)
+	for m, w := range s.loads {
+		s.procE[m] = s.c.energyAt(m, w)
+	}
+}
+
+// pruned reports whether a node whose partial cost is pc (a lower bound on
+// every leaf below it) cannot improve the result. The local incumbent uses
+// the serial rule (pc within 1e-12 of it never strictly improves). The
+// shared cross-worker incumbent is applied with the margin reversed —
+// prune only when pc exceeds it by more than 1e-12 — so a subtree whose
+// best leaf exactly ties another worker's published cost still finds that
+// leaf: subtree winners are then independent of publish timing, and the
+// DFS-ordered fold resolves exact ties the way the serial search does.
+func (s *heteroSearcher) pruned(pc float64) bool {
+	if pc >= s.bestCost-1e-12 {
+		return true
+	}
+	return s.shared != nil && pc >= math.Float64frombits(s.shared.Load())+1e-12
+}
+
+// publish records an improved incumbent, CAS-minning it into the shared
+// bound in parallel mode.
+func (s *heteroSearcher) publish(cost float64) {
+	if s.shared == nil {
+		return
+	}
+	for {
+		old := s.shared.Load()
+		if math.Float64frombits(old) <= cost {
+			return
+		}
+		if s.shared.CompareAndSwap(old, math.Float64bits(cost)) {
+			return
+		}
+	}
 }
 
 // dfs explores placements for tasks[i:], with penalty the accumulated
-// rejection penalty of the prefix. Pruning arithmetic (current energy +
-// penalty against the incumbent with the 1e-12 margin) matches
-// mpSearcher exactly.
+// rejection penalty of the prefix.
 func (s *heteroSearcher) dfs(i int, penalty float64) {
 	s.nodes++
+	// Bound: current energy + current penalty (both only grow).
 	var energy float64
-	for m, w := range s.loads {
-		energy += s.c.energyAt(m, w)
+	for _, e := range s.procE {
+		energy += e
 	}
-	if energy+penalty >= s.bestCost-1e-12 {
+	if s.pruned(energy + penalty) {
 		return
 	}
-	if i == s.n {
+	if i == len(s.choice) {
 		s.bestCost = energy + penalty
-		s.best = Assignment{}
-		for j, ch := range s.choice {
-			if ch >= 0 {
-				s.best[s.c.in.Tasks.Tasks[j].ID] = ch
-			}
-		}
+		copy(s.best, s.choice)
+		s.publish(s.bestCost)
 		return
 	}
 	t := s.c.in.Tasks.Tasks[i]
-	// Symmetry reduction per profile group: among empty processors of one
-	// group only the first is tried (placements on the others are
-	// permutations of it).
-	mCount := s.c.in.M()
-	var triedEmpty [64]bool // indexed by group leader; M ≤ 64 in practice
-	var triedEmptyBig map[int]bool
-	if mCount > len(triedEmpty) {
-		triedEmptyBig = make(map[int]bool, s.c.types)
-	}
-	for m := 0; m < mCount; m++ {
-		if s.loads[m] == 0 {
-			g := s.c.typeOf[m]
-			if triedEmptyBig != nil {
-				if triedEmptyBig[g] {
-					continue
-				}
-				triedEmptyBig[g] = true
-			} else {
-				if triedEmpty[g] {
-					continue
-				}
-				triedEmpty[g] = true
-			}
-		}
-		if s.c.overloads(m, s.loads[m]+t.Cycles) {
-			continue
-		}
+	mCount := len(s.loads)
+	for _, m := range s.c.placements(s.cand[i*mCount:i*mCount:(i+1)*mCount], s.loads, t.Cycles, s.tried) {
+		e := s.procE[m]
 		s.loads[m] += t.Cycles
+		s.procE[m] = s.c.energyAt(m, s.loads[m])
 		s.choice[i] = m
 		s.dfs(i+1, penalty)
 		s.loads[m] -= t.Cycles
+		s.procE[m] = e
 	}
 	s.choice[i] = -1
 	s.dfs(i+1, penalty+t.Penalty)
+}
+
+// finish evaluates the incumbent; a search that reached no leaf errors.
+func (s *heteroSearcher) finish() (Solution, error) {
+	if math.IsInf(s.bestCost, 1) {
+		return Solution{}, fmt.Errorf("multiproc: exhaustive search found no solution")
+	}
+	return evaluate(s.c.in, s.best)
 }
 
 // HeteroPartition is the partition-then-reject solver: every task gets a
@@ -644,7 +823,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	// solves.
 	profiles := make([]*core.ProcProfile, mCount)
 	for m := range profiles {
-		if g := c.typeOf[m]; g != m {
+		if g := c.procs[m].group; g != m {
 			profiles[m] = profiles[g]
 			continue
 		}
@@ -770,14 +949,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	// processor with the smallest projected normalized load (load+c)/cap —
 	// the big.LITTLE generalization of least-loaded. Ownership never
 	// rejects; the DP does, so overflow here is fine.
-	ord := make([]int, len(tasks))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return tasks[ord[a]].Penalty*float64(tasks[ord[b]].Cycles) >
-			tasks[ord[b]].Penalty*float64(tasks[ord[a]].Cycles)
-	})
+	ord := densityOrder(tasks)
 	caps := make([]float64, mCount)
 	for m, p := range in.Procs {
 		caps[m] = math.Max(p.Capacity(in.Tasks.Deadline), 1)
@@ -906,14 +1078,17 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		procSols = solsC
 	}
 
-	// Assemble the assignment from each processor's accepted set.
-	assign := Assignment{}
-	for m := 0; m < mCount; m++ {
-		for _, id := range procSols[m].Accepted {
-			assign[id] = m
+	// Assemble the positions from each processor's accepted set.
+	pos := make([]int, len(tasks))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for m, ps := range procSols {
+		for _, id := range ps.Accepted {
+			pos[byID[id]] = m
 		}
 	}
-	return EvaluateHetero(in, assign)
+	return evaluate(c.in, pos)
 }
 
 // DefaultHeteroLowerBoundStates mirrors core.DefaultLowerBoundStates for

@@ -239,3 +239,8 @@ func TestExchangeNeighbourhoodNeverWorse(t *testing.T) {
 		}
 	}
 }
+
+// capacity is the per-processor workload limit.
+func (in Instance) capacity() float64 {
+	return in.Proc.Capacity(in.Tasks.Deadline)
+}

@@ -16,6 +16,13 @@ import (
 // maxBodyBytes bounds a request body; a 100k-task instance is ~5 MB.
 const maxBodyBytes = 16 << 20
 
+// maxProcs bounds the processor vector of a heterogeneous request. The
+// hetero solvers cost O(n·M) per pass — HETERO-PART re-solves a
+// per-processor DP for every (task, processor) pair and its local-search
+// seed keeps an n×M probe table — so the body limit alone would admit
+// vectors of ~900k processors.
+const maxProcs = 64
+
 // WireTask is one task on the wire, mirroring the CLI instance format.
 type WireTask struct {
 	ID      int     `json:"id"`
@@ -121,6 +128,9 @@ func wireProc(model string, discrete bool, esw *float64, smin, smax float64) (sp
 func (w WireRequest) ToRequest() (Request, error) {
 	var proc speed.Proc
 	var procs []speed.Proc
+	if len(w.Procs) > maxProcs {
+		return Request{}, fmt.Errorf("procs: %d processors, at most %d", len(w.Procs), maxProcs)
+	}
 	if len(w.Procs) > 0 {
 		procs = make([]speed.Proc, 0, len(w.Procs))
 		for i, wp := range w.Procs {

@@ -295,3 +295,21 @@ func TestHandlerSolveHetero(t *testing.T) {
 		t.Errorf("error %s does not name the offending processor", body)
 	}
 }
+
+func TestHandlerProcsBound(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(New(Config{})))
+	defer srv.Close()
+
+	wreq := wireInstance(22, 8)
+	wreq.SMax = 0
+	for len(wreq.Procs) < maxProcs {
+		wreq.Procs = append(wreq.Procs, WireProc{SMax: 1})
+	}
+	if resp, body := postJSON(t, srv.URL+"/solve", wreq); resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d procs: status %d: %s", maxProcs, resp.StatusCode, body)
+	}
+	wreq.Procs = append(wreq.Procs, WireProc{SMax: 1})
+	if resp, body := postJSON(t, srv.URL+"/solve", wreq); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d procs: status %d, want 400: %s", maxProcs+1, resp.StatusCode, body)
+	}
+}
