@@ -11,8 +11,11 @@ vet:
 	$(GO) vet ./...
 	gofmt -l .
 
+# The second line reruns the DP core on the portable scalar kernel (the
+# only one off amd64) in place of the AVX2 blocks.
 test:
 	$(GO) test ./...
+	$(GO) test -short -tags purego ./internal/core/
 
 test-short:
 	$(GO) test -short ./...

@@ -450,6 +450,24 @@ func main() {
 			return func() error { _, err := (core.DP{}).Solve(in); return err }, nil, nil
 		},
 	})
+	// The same cold solve recording a stride-8 DPState into a fresh state
+	// each time, as a serve cold miss does: the ratio to DPColdWide is the
+	// checkpoint tax every warm start is paid for with.
+	benchCases = append(benchCases, benchCase{
+		name: "DPCheckpointWide", n: 1000,
+		setup: func() (func() error, func() cache.Stats, error) {
+			in, err := wideInstance(1000)
+			if err != nil {
+				return nil, nil, err
+			}
+			d := core.DP{CheckpointStride: 8}
+			return func() error {
+				var st core.DPState
+				_, _, err := d.SolveCheckpoint(in, &st)
+				return err
+			}, nil, nil
+		},
+	})
 	// Warm near-miss re-solves from a checkpointed parent state. Append
 	// diverges at the parent's final row; the tail modify replays from the
 	// nearest stride checkpoint.
@@ -669,6 +687,34 @@ func main() {
 			return func() error { _, err := d.Solve(in); return err }, nil, nil
 		},
 	})
+	// The tail modify of DPWarmModify on the sparse-regime instance: the
+	// warm start re-runs the sparse rows from the nearest stride-8
+	// breakpoint snapshot of a sparse-recorded parent state.
+	benchCases = append(benchCases, benchCase{
+		name: "DPSparseWarmModify", n: 28,
+		setup: func() (func() error, func() cache.Stats, error) {
+			in, err := sparseInstance(28, 1<<22)
+			if err != nil {
+				return nil, nil, err
+			}
+			d := core.DP{CheckpointStride: 8, Sparse: core.SparseOn}
+			var st core.DPState
+			if _, _, err := d.SolveCheckpoint(in, &st); err != nil {
+				return nil, nil, err
+			}
+			mut := in
+			ts := append([]task.Task(nil), in.Tasks.Tasks...)
+			ts[len(ts)-4].Penalty += 0.5
+			mut.Tasks.Tasks = ts
+			return func() error {
+				_, _, ok, err := d.SolveFrom(&st, mut, false)
+				if err == nil && !ok {
+					return fmt.Errorf("sparse warm modify declined")
+				}
+				return err
+			}, nil, nil
+		},
+	})
 	// The anytime tier (internal/anytime): the raw SoA fitness kernel (64
 	// genomes × 1024 tasks, the zero-alloc claim), the 10 ms wall-budget
 	// solve on the DP n=1000 instance (the ≥99%-of-exact claim is the
@@ -826,6 +872,9 @@ func main() {
 	printRatio("online replan speedup", "OnlineReplanCold/n=1000", "OnlineReplanIncremental/n=1000")
 	printRatio("serve delta speedup", "ServeColdSolve/n=1000", "ServeDeltaSolve/n=1000")
 	printRatio("sparse rows speedup", "DPSparseRegimeDense/n=28", "DPSparseRegimeSparse/n=28")
+	if c, k := ns["DPColdWide/n=1000"], ns["DPCheckpointWide/n=1000"]; c > 0 && k > 0 {
+		fmt.Printf("%-26s %6.2fx  (DPCheckpointWide/n=1000 vs DPColdWide/n=1000)\n", "checkpoint tax", k/c)
+	}
 	// Anytime quality headlines: solution quality per unit wall time, not
 	// speed — the README's ≥99%-of-exact claim at n=1000 in 10 ms and the
 	// certified gap on the grid the exact dense solver cannot touch.

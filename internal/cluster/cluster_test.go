@@ -336,21 +336,27 @@ func TestClusterEndToEndBitIdentical(t *testing.T) {
 	}
 
 	// Replication: each cold solve was pushed to the key's replica. Wait
-	// for the queues to drain, then ask the replica directly (not via the
-	// router) and expect a warm hit with the identical solution.
+	// until every replica has installed all the keys it was sent, then ask
+	// the replica directly (not via the router) and expect a warm hit with
+	// the identical solution.
 	ring := NewRing(addrs, 0)
+	replicas := make([]int, len(cases))
+	sentTo := map[int]uint64{}
+	for i, c := range cases {
+		_, replicas[i] = ring.OwnerReplica(serve.Fingerprint(c.req, 0))
+		sentTo[replicas[i]]++
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for _, c := range cases {
-		_, replica := ring.OwnerReplica(serve.Fingerprint(c.req, 0))
-		for {
-			if nodes[replica].Engine().Stats().Warmed > 0 {
-				break
-			}
+	for replica, want := range sentTo {
+		for nodes[replica].Engine().Stats().Warmed < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("replica %d never warmed (stats %+v)", replica, nodes[replica].Stats())
+				t.Fatalf("replica %d warmed %d of %d keys (stats %+v)", replica, nodes[replica].Engine().Stats().Warmed, want, nodes[replica].Stats())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+	for i, c := range cases {
+		replica := replicas[i]
 		direct := NewWireClient(addrs[replica])
 		res, err := direct.Solve(c.req)
 		direct.Close()

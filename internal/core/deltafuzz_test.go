@@ -1,10 +1,11 @@
 // Fuzz target for the warm-start DP: arbitrary instances are solved cold
 // with checkpoint recording, then pushed through deterministic near-miss
 // mutations (append, tail/mid edits, removal) on both the read-only and
-// evolving warm paths. Every warm result must be bit-identical to a cold
-// solve of the mutant and pass the EDF oracle replay; a decline (ok=false)
-// is always legal — callers fall back to a cold solve — but a wrong answer
-// never is.
+// evolving warm paths, serial and row-parallel. Every warm result must be
+// bit-identical to a cold solve of the mutant and pass the EDF oracle
+// replay; a decline (ok=false) is always legal — callers fall back to a
+// cold solve — but a wrong answer never is. The battery takes its DP, so
+// FuzzSparseDense drives it over sparse-recorded states too.
 package core_test
 
 import (
@@ -57,11 +58,10 @@ func deltaMutants(in core.Instance) []deltaMutant {
 	return out
 }
 
-// checkDeltaSolve records a checkpointed parent solve and pins every
-// mutant's warm result — read-only shared-parent first, then a short
-// evolving chain — against a from-scratch solve.
-func checkDeltaSolve(in core.Instance) error {
-	d := core.DP{CheckpointStride: 4}
+// checkDeltaSolve records a checkpointed parent solve with d and pins
+// every mutant's warm result — read-only shared-parent first, then a short
+// evolving chain — against a from-scratch serial solve.
+func checkDeltaSolve(d core.DP, in core.Instance) error {
 	var st core.DPState
 	base, _, err := d.SolveCheckpoint(in, &st)
 	if err != nil {
@@ -126,8 +126,9 @@ func checkDeltaSolve(in core.Instance) error {
 }
 
 // FuzzDeltaSolve decodes arbitrary bytes into an instance and checks the
-// incremental warm-start battery: warm ≡ cold, bit for bit, under the
-// mutation shapes the serve cache and online replanner generate.
+// incremental warm-start battery on dense states, serial and with two
+// row-parallel workers: warm ≡ cold, bit for bit, under the mutation
+// shapes the serve cache and online replanner generate.
 func FuzzDeltaSolve(f *testing.F) {
 	for _, s := range verify.SeedInstances() {
 		if data, ok := verify.EncodeInstance(s.In); ok {
@@ -139,8 +140,12 @@ func FuzzDeltaSolve(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		if err := checkDeltaSolve(in); err != nil {
-			failShrunk(t, in, err, checkDeltaSolve)
+		for _, workers := range []int{1, 2} {
+			d := core.DP{CheckpointStride: 4, Workers: workers}
+			check := func(in core.Instance) error { return checkDeltaSolve(d, in) }
+			if err := check(in); err != nil {
+				failShrunk(t, in, fmt.Errorf("workers=%d: %w", workers, err), check)
+			}
 		}
 	})
 }

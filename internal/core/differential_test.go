@@ -299,7 +299,7 @@ func refRejectionDP(its []item, cap64 int64, energy func(float64) float64, scale
 		f[w] = math.Inf(1)
 	}
 	f[0] = 0
-	take := newTakeTable(nil, n, width)
+	take := make([]bool, int64(n)*width) // take[i*width+w]: task i accepted on the path to w
 	for i, it := range its {
 		c := it.c
 		if c > cap64 {
@@ -321,7 +321,7 @@ func refRejectionDP(its []item, cap64 int64, energy func(float64) float64, scale
 			}
 			if acceptCost < rejectCost {
 				f[w] = acceptCost
-				take.set(i, w)
+				take[int64(i)*width+w] = true
 			} else {
 				f[w] = rejectCost
 			}
@@ -342,7 +342,7 @@ func refRejectionDP(its []item, cap64 int64, energy func(float64) float64, scale
 	var ids []int
 	w := bestW
 	for i := n - 1; i >= 0; i-- {
-		if take.get(i, w) {
+		if take[int64(i)*width+w] {
 			ids = append(ids, its[i].id)
 			w -= its[i].c
 		}

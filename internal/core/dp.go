@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"dvsreject/internal/conc"
 )
@@ -20,6 +21,15 @@ import (
 // min(smax·D, Σ_{j≤i} c_j) is attainable, so the cells beyond it stay +Inf
 // untouched. Both are exact reformulations of the seed's in-place
 // descending update; outputs are byte-identical.
+//
+// Every exact-DP entry point runs its rows through one of two runners:
+// denseRun (this file) folds dense rows from a restart point into a
+// caller-given take window, and sparseRun (dpsparse.go) folds breakpoint
+// rows and may hand off to denseRun mid-solve. A cold solve starts at row
+// 0; SolveFrom starts at a DPState checkpoint (dpstate.go); ApproxDP,
+// CostLowerBound and ParetoFrontier run the dense rows on other grids.
+// One reconstruction walk reads each row's take bits from wherever the
+// run left them.
 type DP struct {
 	// MaxStates bounds the table work: dense solves count n·(capacity+1)
 	// grid cells (0 means DefaultMaxDPStates), sparse solves count actual
@@ -93,8 +103,9 @@ func (d DP) SolveStats(in Instance) (Solution, DPStats, error) {
 
 // solve is the shared implementation of SolveStats and SolveCheckpoint:
 // rec, when non-nil, records the checkpointed row state of the run (see
-// dpstate.go). Recording never changes a bit of the solution — it only
-// copies row snapshots and the finished take table out of the solve.
+// dpstate.go). Recording never changes a bit of the solution — the rows
+// write their take bits into rec's table instead of pooled scratch, and
+// the row hook copies snapshots out.
 func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 	if rec != nil {
 		rec.valid = false
@@ -108,34 +119,48 @@ func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 		return Solution{}, DPStats{}, ErrHeterogeneous
 	}
 	cap64 := int64(math.Floor(ctx.capacity * (1 + 1e-12)))
-	limit := d.MaxStates
-	if limit == 0 {
-		limit = DefaultMaxDPStates
-	}
-	if d.Sparse == SparseOn || (d.Sparse == SparseAuto && len(ctx.items) > 0 && cap64 >= 0 &&
-		(cap64 >= limit || int64(len(ctx.items))*(cap64+1) > limit)) {
-		return d.solveSparse(ctx, cap64, rec)
-	}
-	if work := int64(len(ctx.items)) * (cap64 + 1); work > limit {
-		return Solution{}, DPStats{}, denseStatesErr(work, len(ctx.items), cap64, limit)
-	}
-
-	var onRow func(rows int, f []float64, reach int64)
-	if rec != nil {
-		rec.begin(cap64, d.checkpointStride(), len(ctx.items))
-		onRow = rec.noteRow
-	}
+	n := len(ctx.items)
+	limit := d.denseLimit()
 	sc := getDPScratch()
 	defer putDPScratch(sc)
-	accepted, st, err := rejectionDP(ctx.items, cap64, ctx.energy, 1, ctx.fastEnergy, d.Workers, sc, onRow)
+	var ids []int
+	var st DPStats
+	if d.Sparse == SparseOn || (d.Sparse == SparseAuto && n > 0 && cap64 >= 0 &&
+		(cap64 >= limit || int64(n)*(cap64+1) > limit)) {
+		ids, st, err = d.solveSparse(ctx, cap64, sc, rec)
+	} else {
+		if err := d.admitDense(n, cap64); err != nil {
+			return Solution{}, DPStats{}, err
+		}
+		if rec != nil {
+			rec.begin(cap64, d.checkpointStride(), ctx.items, false, false)
+		}
+		ids, st, err = solveDense(ctx.items, cap64, ctx.energy, 1, ctx.fastEnergy, d.Workers, sc, rec)
+	}
 	if err != nil {
 		return Solution{}, st, err
 	}
 	if rec != nil {
-		rec.finish(ctx.items, sc.words)
+		rec.valid = true
 	}
-	sol, err := ctx.evaluate(accepted)
+	sol, err := ctx.evaluate(ids)
 	return sol, st, err
+}
+
+// denseLimit is the dense grid-cell budget: MaxStates or its default.
+func (d DP) denseLimit() int64 {
+	if d.MaxStates != 0 {
+		return d.MaxStates
+	}
+	return DefaultMaxDPStates
+}
+
+// admitDense refuses a dense grid of n rows over the state budget.
+func (d DP) admitDense(n int, cap64 int64) error {
+	if work := int64(n) * (cap64 + 1); work > d.denseLimit() {
+		return denseStatesErr(work, n, cap64, d.denseLimit())
+	}
+	return nil
 }
 
 // ErrStateBudget is wrapped by every DP refusal caused by the state
@@ -151,150 +176,183 @@ func denseStatesErr(work int64, n int, cap64, limit int64) error {
 	return fmt.Errorf("core: DP needs %d states (%d tasks × %d workload levels), over the limit %d (%w): use ApproxDP for an approximate solve, or sparse rows (DP.Sparse = SparseOn, solver %q) for an exact one", work, n, cap64+1, limit, ErrStateBudget, "DP-SPARSE")
 }
 
-// takeTable is the reconstruction bitset: one bit per (task, workload)
-// cell, 8× smaller than a [][]bool and friendlier to the cache on large
-// grids.
-type takeTable struct {
-	words []uint64
-	width int64 // words per task row
+// takeRows locates the take bits of a run of DP rows: a dense window of
+// packed per-row bitsets (bit w of a row at words[w>>6]; 8× smaller than
+// a [][]bool and friendlier to the cache on large grids), or, when sp is
+// set, a sparse breakpoint arena (dpsparse.go). Item row i lives at
+// window/arena row i-base.
+type takeRows struct {
+	words  []uint64
+	perRow int64 // words per dense row
+	stride int64 // words between consecutive dense rows; 0 reuses one row
+	base   int
+	sp     *sparseRows
 }
 
-func newTakeTable(words []uint64, n int, width int64) takeTable {
-	perRow := (width + 63) / 64
-	need := int64(n) * perRow
-	if words == nil || int64(cap(words)) < need {
-		words = make([]uint64, need)
-	} else {
-		words = words[:need]
-		clear(words)
-	}
-	return takeTable{words: words, width: perRow}
+// denseTake is the window of dense rows base, base+1, … packed back to
+// back in words.
+func denseTake(words []uint64, perRow int64, base int) takeRows {
+	return takeRows{words: words, perRow: perRow, stride: perRow, base: base}
 }
 
-func (t takeTable) set(i int, w int64) {
-	t.words[int64(i)*t.width+w/64] |= 1 << uint(w%64)
+// row returns dense row i's take words, cell-indexed by w>>6.
+func (t takeRows) row(i int) []uint64 {
+	off := int64(i-t.base) * t.stride
+	return t.words[off : off+t.perRow]
 }
 
-func (t takeTable) get(i int, w int64) bool {
-	return t.words[int64(i)*t.width+w/64]&(1<<uint(w%64)) != 0
+// taken reports row i's take bit at workload w; ok is false when a sparse
+// row holds no cell at w.
+func (t takeRows) taken(i int, w int64) (take, ok bool) {
+	if t.sp == nil {
+		return t.words[int64(i-t.base)*t.stride+w/64]&(1<<uint(w%64)) != 0, true
+	}
+	j := i - t.base
+	rw := t.sp.row(j)
+	k := sort.Search(len(rw), func(x int) bool { return rw[x] >= w })
+	if k == len(rw) || rw[k] != w {
+		return false, false
+	}
+	return t.sp.take(j, k), true
 }
 
-// row returns task i's word slice, cell-indexed by w>>6.
-func (t takeTable) row(i int) []uint64 {
-	return t.words[int64(i)*t.width : (int64(i)+1)*t.width]
-}
-
-// rejectionDP solves min energy(scale·w) + Σ rejected v over subsets with
-// Σ item.c ≤ cap64. Callers pass items whose c field is already expressed
-// in DP grid units; scale converts grid units back to true cycles for the
-// energy evaluation (1 for the exact DP). monotone declares the energy
-// curve non-decreasing in w, unlocking the pruned final scan of
-// minCostWorkload; pass false for curves with dormant break-evens or
-// discrete ladders. workers > 1 chunks rows and the monotone final scan;
-// any setting returns byte-identical results. It returns the accepted IDs.
-//
-// onRow, when non-nil, observes the finished row buffer after each item:
-// rows is the number of items folded in so far and f[0:reach+1] holds the
-// finite prefix (cells above reach are untouched +Inf). The checkpoint
-// recorder (dpstate.go) snapshots here; f must not be retained.
-func rejectionDP(its []item, cap64 int64, energy func(float64) float64, scale float64, monotone bool, workers int, sc *dpScratch, onRow func(rows int, f []float64, reach int64)) ([]int, DPStats, error) {
-	var st DPStats
-	if cap64 < 0 {
-		return nil, st, fmt.Errorf("core: negative DP capacity %d", cap64)
-	}
-	n := len(its)
-	width := cap64 + 1
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Double-buffered rows from the caller's scratch; the Inf refill and
-	// the zeroed bitset put reused buffers in exactly the state fresh
-	// make() calls had them. Cells at or above a row's reachable bound are
-	// never written in either buffer, so they keep this +Inf for the final
-	// scan.
-	prev := growF64(sc.f, int(width))
-	sc.f = prev
-	cur := growF64(sc.f2, int(width))
-	sc.f2 = cur
-	for w := range prev {
-		prev[w] = math.Inf(1)
-	}
-	for w := range cur {
-		cur[w] = math.Inf(1)
-	}
-	prev[0] = 0
-
-	// take records, per reachable workload, whether task i is accepted on
-	// the optimal path reaching it.
-	take := newTakeTable(sc.words, n, width)
-	sc.words = take.words
-
-	var reach int64 // largest attainable workload after the rows so far
-	for i, it := range its {
-		st.Rows++
-		st.DenseRows++
-		c, v := it.c, it.v
-		if c > cap64 {
-			// Can never be accepted: pay the penalty on every path.
-			hi := reach + 1
-			dpRejectRange(prev, cur, v, 0, hi)
-			st.Cells += hi
-			prev, cur = cur, prev
-			if onRow != nil {
-				onRow(i+1, prev, reach)
-			}
-			continue
-		}
-		reach = min(reach+c, cap64)
-		hi := reach + 1
-		rowBits := take.row(i)
-		if workers > 1 && hi >= int64(64*workers) {
-			// Word-aligned chunks own disjoint take words and disjoint cur
-			// cells; every read is from prev, so chunk order is
-			// unobservable and the row equals its serial evaluation.
-			chunk := (hi + int64(workers) - 1) / int64(workers)
-			chunk = (chunk + 63) &^ 63
-			nch := int((hi + chunk - 1) / chunk)
-			conc.ForEach(nch, workers, func(k int) (struct{}, error) {
-				lo := int64(k) * chunk
-				dpRowRange(prev, cur, rowBits, c, v, lo, min(lo+chunk, hi))
-				return struct{}{}, nil
-			})
-		} else {
-			dpRowRange(prev, cur, rowBits, c, v, 0, hi)
-		}
-		st.Cells += hi
-		prev, cur = cur, prev
-		if onRow != nil {
-			onRow(i+1, prev, reach)
-		}
-	}
-	f := prev
-
-	// Pick the best workload level.
-	var bestW int64
-	if workers > 1 && monotone {
-		bestW, _ = minCostWorkloadParallel(f, energy, scale, workers)
-	} else {
-		bestW, _ = minCostWorkload(f, energy, scale, monotone)
-	}
-	if bestW < 0 {
-		return nil, st, fmt.Errorf("core: DP found no feasible workload")
-	}
-
-	// Reconstruct.
+// reconstruct walks the rows back from the selected final workload w,
+// reading rows at or above split from hi and the rows below it from lo,
+// and returns the accepted IDs (in sc.ids, last row first).
+func reconstruct(sc *dpScratch, its []item, w int64, split int, hi, lo takeRows) ([]int, error) {
 	ids := sc.ids[:0]
-	w := bestW
-	for i := n - 1; i >= 0; i-- {
-		if take.get(i, w) {
+	for i := len(its) - 1; i >= 0; i-- {
+		src := hi
+		if i < split {
+			src = lo
+		}
+		take, ok := src.taken(i, w)
+		if !ok {
+			return nil, fmt.Errorf("core: DP reconstruction lost workload %d at row %d", w, i)
+		}
+		if take {
 			ids = append(ids, its[i].id)
 			w -= its[i].c
 		}
 	}
 	sc.ids = ids
 	if w != 0 {
-		return nil, st, fmt.Errorf("core: DP reconstruction left workload %d", w)
+		return nil, fmt.Errorf("core: DP reconstruction left workload %d", w)
 	}
-	return ids, st, nil
+	return ids, nil
+}
+
+// errNoWorkload reports a final row with no finite cell.
+var errNoWorkload = errors.New("core: DP found no feasible workload")
+
+// denseRun is the dense row runner: it folds items[row:] into the
+// double-buffered rows from a restart point — row items already folded
+// in, the row's finite prefix prev[0:reach+1] loaded and +Inf above —
+// writing each row's take bits into the take window. Cold solves start at
+// row 0; warm starts restore a checkpoint; the sparse switchover scatters
+// its last breakpoint row.
+type denseRun struct {
+	its     []item
+	cap64   int64
+	workers int
+	row     int
+	reach   int64
+	prev    []float64
+	cur     []float64 // second row buffer, +Inf filled
+	take    takeRows  // receives the take bits of rows ≥ row, pre-zeroed
+}
+
+// run folds the remaining rows and returns the final row. onRow, when
+// non-nil, observes the finished row after each item: rows is the number
+// of items folded in so far and f[0:reach+1] holds the finite prefix. The
+// checkpoint recorder (dpstate.go) snapshots here; f must not be retained.
+// (The hook is an argument, not a field: the row-parallel closure leaks
+// the run, and a leaked hook would cost every recorded solve an alloc.)
+func (r denseRun) run(st *DPStats, onRow func(rows int, f []float64, reach int64)) []float64 {
+	prev, cur, reach := r.prev, r.cur, r.reach
+	workers := max(r.workers, 1)
+	for i := r.row; i < len(r.its); i++ {
+		st.Rows++
+		st.DenseRows++
+		c, v := r.its[i].c, r.its[i].v
+		if c > r.cap64 {
+			// Can never be accepted: pay the penalty on every path. The
+			// row's take bits stay zero.
+			dpRejectRange(prev, cur, v, 0, reach+1)
+		} else {
+			reach = min(reach+c, r.cap64)
+			hi := reach + 1
+			rowBits := r.take.row(i)
+			if workers > 1 && hi >= int64(64*workers) {
+				// Word-aligned chunks own disjoint take words and disjoint
+				// cur cells; every read is from prev, so chunk order is
+				// unobservable and the row equals its serial evaluation.
+				chunk := (hi + int64(workers) - 1) / int64(workers)
+				chunk = (chunk + 63) &^ 63
+				nch := int((hi + chunk - 1) / chunk)
+				conc.ForEach(nch, workers, func(k int) (struct{}, error) {
+					lo := int64(k) * chunk
+					dpRowRange(prev, cur, rowBits, c, v, lo, min(lo+chunk, hi))
+					return struct{}{}, nil
+				})
+			} else {
+				dpRowRange(prev, cur, rowBits, c, v, 0, hi)
+			}
+		}
+		st.Cells += reach + 1
+		prev, cur = cur, prev
+		if onRow != nil {
+			onRow(i+1, prev, reach)
+		}
+	}
+	return prev
+}
+
+// solve runs the remaining rows (see run), picks the best final workload
+// level against energy(scale·w) and reconstructs the accepted IDs, reading
+// rows below the restart point from below. monotone declares the energy curve
+// non-decreasing in w, unlocking the pruned final scan of minCostWorkload
+// (chunked across the workers when there are several); pass false for
+// curves with dormant break-evens or discrete ladders.
+func (r denseRun) solve(energy func(float64) float64, scale float64, monotone bool, below takeRows, sc *dpScratch, st *DPStats, onRow func(rows int, f []float64, reach int64)) ([]int, error) {
+	f := r.run(st, onRow)
+	var bestW int64
+	if r.workers > 1 && monotone {
+		bestW, _ = minCostWorkloadParallel(f, energy, scale, r.workers)
+	} else {
+		bestW, _ = minCostWorkload(f, energy, scale, monotone)
+	}
+	if bestW < 0 {
+		return nil, errNoWorkload
+	}
+	return reconstruct(sc, r.its, bestW, r.row, r.take, below)
+}
+
+// solveDense is the cold dense solve behind DP, ApproxDP and
+// CostLowerBound: min energy(scale·w) + Σ rejected v over subsets with
+// Σ item.c ≤ cap64. Callers pass items whose c field is already expressed
+// in DP grid units; scale converts grid units back to true cycles for the
+// energy evaluation (1 for the exact DP). workers > 1 chunks rows and the
+// monotone final scan; any setting returns byte-identical results. rec,
+// when non-nil, has been begun for this run (DPState.begin): the rows
+// write their take bits straight into its table and its noteRow hook
+// records the checkpoints. It returns the accepted IDs.
+func solveDense(its []item, cap64 int64, energy func(float64) float64, scale float64, monotone bool, workers int, sc *dpScratch, rec *DPState) ([]int, DPStats, error) {
+	var st DPStats
+	if cap64 < 0 {
+		return nil, st, fmt.Errorf("core: negative DP capacity %d", cap64)
+	}
+	r := denseRun{its: its, cap64: cap64, workers: workers}
+	r.prev, r.cur = sc.denseRows(cap64 + 1)
+	r.prev[0] = 0
+	var onRow func(int, []float64, int64)
+	if rec != nil {
+		r.take, onRow = denseTake(rec.words, rec.perRow, 0), rec.noteRow
+	} else {
+		perRow := (cap64 + 64) / 64
+		sc.words = zeroedU64(sc.words, int(int64(len(its))*perRow))
+		r.take = denseTake(sc.words, perRow, 0)
+	}
+	ids, err := r.solve(energy, scale, monotone, r.take, sc, &st, onRow)
+	return ids, st, err
 }

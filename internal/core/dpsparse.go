@@ -1,12 +1,12 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"sort"
+import "fmt"
 
-	"dvsreject/internal/conc"
-)
+// This file holds the sparse DP rows: the breakpoint arena that records
+// them (sparseRows), the one-item row step over the merge kernel of
+// dpsparsekernel.go (sparseStep), and sparseRun, the sparse row runner
+// that cold sparse solves and sparse warm starts share. Its adaptive
+// switchover hands the rest of a cold solve to the dense runner of dp.go.
 
 // SparseMode selects the DP row representation.
 type SparseMode uint8
@@ -153,328 +153,135 @@ func sparseBudgetErr(limit int64, row, n int) error {
 	return fmt.Errorf("core: sparse DP passed %d row breakpoints by row %d/%d (%w); raise MaxStates or use ApproxDP", limit, row, n, ErrStateBudget)
 }
 
-// solveSparse is the sparse-row counterpart of the dense rejectionDP path
-// of DP.solve: rows carry only finite cells (only the dominance frontier
-// when the energy curve is monotone), MaxStates budgets actual breakpoints
-// instead of grid area, and reconstruction walks per-row breakpoint lists
-// instead of the packed dense take table. Results are bit-identical to
-// the dense kernel on every instance both can solve — the differential
-// corpus and FuzzSparseDense pin this.
-func (d DP) solveSparse(ctx *evalCtx, cap64 int64, rec *DPState) (Solution, DPStats, error) {
-	var stats DPStats
-	if cap64 < 0 {
-		return Solution{}, stats, fmt.Errorf("core: negative DP capacity %d", cap64)
+// sparseLimit is the sparse breakpoint budget: MaxStates or its default.
+func (d DP) sparseLimit() int64 {
+	if d.MaxStates != 0 {
+		return d.MaxStates
 	}
+	return DefaultMaxSparseCells
+}
+
+// sparseRun is the sparse row runner: it folds the instance's items[row:]
+// into the breakpoint arena from a restart row — row items already folded
+// in — writing item row i at arena row i-base. spent counts the
+// breakpoints already charged to the budget: the retained prefix rows of
+// a warm start, so a warm re-run spends what a cold solve of the same
+// instance would have.
+type sparseRun struct {
+	cap64 int64
+	row   int
+	rows  *sparseRows
+	base  int
+	spent int64
+	prune bool // dominance-prune to the penalty frontier (monotone curve)
+	// switchover lets the run hand off to the dense runner (cold unrecorded
+	// solves only: a DPState keeps one representation).
+	switchover bool
+}
+
+// solve runs the remaining rows from the restart row's breakpoints (ws,
+// fs) under d's breakpoint budget, scans the final row against the
+// instance's energy curve and reconstructs the accepted IDs, reading rows
+// below the restart point from below. onRow, when non-nil, observes each
+// finished row (the checkpoint recorder's breakpoint snapshots; ws and fs
+// must not be retained). The restart row is an argument, not a field: the
+// hook leaks the rows it is handed, and a leaked run would drag its
+// arena's DPState to the heap.
+//
+// Adaptive switchover: once row occupancy crosses 1/8 of the grid the
+// dense kernel's branch-free cells are cheaper than merge breakpoints, so
+// when the remaining dense table also fits the state budget the sparse
+// row is scattered into an Inf-filled dense row and the dense runner
+// finishes the solve, AVX2 and row-parallel chunking included. Pruned
+// holes read +Inf: a dominated cell's descendants are themselves
+// dominated, so the final scan's frontier filter drops every cell the
+// holes could distort before it is ever costed. Reconstruction stitches
+// the dense take window onto the sparse prefix.
+func (r sparseRun) solve(d DP, ctx *evalCtx, ws []int64, fs []float64, below takeRows, sc *dpScratch, st *DPStats, onRow func(rows int, ws []int64, fs []float64)) ([]int, error) {
 	its := ctx.items
 	n := len(its)
-	prune := ctx.fastEnergy
-	limit := d.MaxStates
-	if limit == 0 {
-		limit = DefaultMaxSparseCells
+	limit := d.sparseLimit()
+	width := r.cap64 + 1
+	arena := takeRows{sp: r.rows, base: r.base}
+	bufA, bufB := sc.spF, sc.spF2
+	defer func() { sc.spF, sc.spF2 = bufA, bufB }()
+	for i := r.row; i < n; i++ {
+		st.Rows++
+		var wrote []float64
+		var k int
+		ws, fs, wrote, k = sparseStep(r.rows, ws, fs, bufA, its[i], r.cap64, r.prune, limit-r.spent)
+		bufA, bufB = bufB, wrote
+		if k >= 0 {
+			r.spent += int64(k)
+			st.SparseCells += int64(k)
+		}
+		if k < 0 || r.spent > limit {
+			return nil, sparseBudgetErr(limit, i+1, n)
+		}
+		if onRow != nil {
+			onRow(i+1, ws, fs)
+		}
+		if r.switchover && i+1 < n && int64(len(ws))*8 > width && int64(n-i-1)*width <= d.denseLimit() {
+			dr := denseRun{its: its, cap64: r.cap64, workers: d.Workers, row: i + 1, reach: ws[len(ws)-1]}
+			dr.prev, dr.cur = sc.denseRows(width)
+			for j, w := range ws {
+				dr.prev[w] = fs[j]
+			}
+			perRow := (width + 63) / 64
+			sc.words = zeroedU64(sc.words, int(int64(n-i-1)*perRow))
+			dr.take = denseTake(sc.words, perRow, i+1)
+			return dr.solve(ctx.energy, 1, ctx.fastEnergy, arena, sc, st, nil)
+		}
 	}
-	denseLimit := d.MaxStates
-	if denseLimit == 0 {
-		denseLimit = DefaultMaxDPStates
+	bestW, _ := minCostWorkloadSparse(ws, fs, ctx.energy, 1, ctx.fastEnergy)
+	if bestW < 0 {
+		return nil, errNoWorkload
 	}
-	width := cap64 + 1
+	return reconstruct(sc, its, bestW, r.row, arena, below)
+}
 
-	sc := getDPScratch()
-	defer putDPScratch(sc)
-	rows := &sc.spRec
-	var snap func(int, []int64, []float64)
-	if rec != nil {
-		rec.beginSparse(cap64, d.checkpointStride(), n, prune)
-		rows = &rec.sp
-		snap = rec.noteSparseRow
+// solveSparse is the cold sparse solve of DP.solve: rows carry only finite
+// cells (only the dominance frontier when the energy curve is monotone),
+// MaxStates budgets actual breakpoints instead of grid area, and
+// reconstruction walks per-row breakpoint lists instead of the packed
+// dense take table. Results are bit-identical to the dense kernel on
+// every instance both can solve — the differential corpus and
+// FuzzSparseDense pin this.
+func (d DP) solveSparse(ctx *evalCtx, cap64 int64, sc *dpScratch, rec *DPState) ([]int, DPStats, error) {
+	var st DPStats
+	if cap64 < 0 {
+		return nil, st, fmt.Errorf("core: negative DP capacity %d", cap64)
 	}
-	rows.begin(0)
-
 	// Row 0: the empty prefix reaches only workload 0 at zero penalty.
 	w0 := [1]int64{0}
 	f0 := [1]float64{0}
-	prevW, prevF := w0[:], f0[:]
-	bufA, bufB := sc.spF, sc.spF2
-	defer func() { sc.spF, sc.spF2 = bufA, bufB }()
-	var spent int64
-
-	for i := 0; i < n; i++ {
-		stats.Rows++
-		var wrote []float64
-		var k int
-		prevW, prevF, wrote, k = sparseStep(rows, prevW, prevF, bufA, its[i], cap64, prune, limit-spent)
-		bufA, bufB = bufB, wrote
-		if k >= 0 {
-			spent += int64(k)
-			stats.SparseCells += int64(k)
-		}
-		if k < 0 || spent > limit {
-			return Solution{}, stats, sparseBudgetErr(limit, i+1, n)
-		}
-		if snap != nil {
-			snap(i+1, prevW, prevF)
-		}
-		// Adaptive switchover: once row occupancy crosses 1/8 of the grid
-		// the dense kernel's branch-free cells are cheaper than merge
-		// breakpoints, and the remaining dense table fits the state budget.
-		// Recorded solves never switch — a DPState keeps one representation.
-		if rec == nil && i+1 < n && int64(len(prevW))*8 > width {
-			if rem := int64(n-i-1) * width; rem <= denseLimit {
-				return d.finishSparseDense(ctx, cap64, i+1, prevW, prevF, rows, sc, stats)
-			}
-		}
-	}
-
-	bestW, _ := minCostWorkloadSparse(prevW, prevF, ctx.energy, 1, ctx.fastEnergy)
-	if bestW < 0 {
-		return Solution{}, stats, fmt.Errorf("core: DP found no feasible workload")
-	}
-
-	// Reconstruct along the breakpoint rows: the path cell is located by
-	// binary search, its take bit by cell index.
-	ids := sc.ids[:0]
-	w := bestW
-	for i := n - 1; i >= 0; i-- {
-		rw := rows.row(i)
-		j := sort.Search(len(rw), func(x int) bool { return rw[x] >= w })
-		if j == len(rw) || rw[j] != w {
-			return Solution{}, stats, fmt.Errorf("core: DP reconstruction lost workload %d at row %d", w, i)
-		}
-		if rows.take(i, j) {
-			ids = append(ids, its[i].id)
-			w -= its[i].c
-		}
-	}
-	sc.ids = ids
-	if w != 0 {
-		return Solution{}, stats, fmt.Errorf("core: DP reconstruction left workload %d", w)
-	}
+	r := sparseRun{cap64: cap64, rows: &sc.spRec, prune: ctx.fastEnergy, switchover: rec == nil}
+	var onRow func(int, []int64, []float64)
 	if rec != nil {
-		rec.finishSparse(its)
+		rec.begin(cap64, d.checkpointStride(), ctx.items, true, r.prune)
+		r.rows, onRow = &rec.sp, rec.noteSparseRow
 	}
-	sol, err := ctx.evaluate(ids)
-	return sol, stats, err
+	r.rows.begin(0)
+	ids, err := r.solve(d, ctx, w0[:], f0[:], takeRows{}, sc, &st, onRow)
+	return ids, st, err
 }
 
-// finishSparseDense continues a sparse solve on the dense kernels from row
-// start: the sparse row is scattered into an Inf-filled dense row (pruned
-// holes read +Inf — a dominated cell's descendants are themselves
-// dominated, so the final scan's frontier filter drops every cell the
-// holes could distort before it is ever costed) and the remaining rows run
-// through dpRowRange/dpRejectRange exactly as rejectionDP would, AVX2 and
-// row-parallel chunking included. Reconstruction stitches the dense take
-// window onto the sparse prefix record.
-func (d DP) finishSparseDense(ctx *evalCtx, cap64 int64, start int, prevW []int64, prevF []float64, spRows *sparseRows, sc *dpScratch, stats DPStats) (Solution, DPStats, error) {
-	its := ctx.items
-	n := len(its)
-	width := cap64 + 1
-	workers := d.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	prev := growF64(sc.f, int(width))
-	sc.f = prev
-	cur := growF64(sc.f2, int(width))
-	sc.f2 = cur
-	for w := range prev {
-		prev[w] = math.Inf(1)
-	}
-	for w := range cur {
-		cur[w] = math.Inf(1)
-	}
-	for j, w := range prevW {
-		prev[w] = prevF[j]
-	}
-	reach := prevW[len(prevW)-1]
-
-	perRow := (width + 63) / 64
-	words := growU64(sc.words, int(int64(n-start)*perRow))
-	sc.words = words
-	clear(words)
-
-	for i := start; i < n; i++ {
-		stats.Rows++
-		stats.DenseRows++
-		c, v := its[i].c, its[i].v
-		if c > cap64 {
-			hi := reach + 1
-			dpRejectRange(prev, cur, v, 0, hi)
-			stats.Cells += hi
-			prev, cur = cur, prev
-			continue
-		}
-		reach = min(reach+c, cap64)
-		hi := reach + 1
-		rowBits := words[int64(i-start)*perRow : int64(i-start+1)*perRow]
-		if workers > 1 && hi >= int64(64*workers) {
-			chunk := (hi + int64(workers) - 1) / int64(workers)
-			chunk = (chunk + 63) &^ 63
-			nch := int((hi + chunk - 1) / chunk)
-			conc.ForEach(nch, workers, func(k int) (struct{}, error) {
-				lo := int64(k) * chunk
-				dpRowRange(prev, cur, rowBits, c, v, lo, min(lo+chunk, hi))
-				return struct{}{}, nil
-			})
-		} else {
-			dpRowRange(prev, cur, rowBits, c, v, 0, hi)
-		}
-		stats.Cells += hi
-		prev, cur = cur, prev
-	}
-	f := prev
-
-	var bestW int64
-	if workers > 1 && ctx.fastEnergy {
-		bestW, _ = minCostWorkloadParallel(f, ctx.energy, 1, workers)
-	} else {
-		bestW, _ = minCostWorkload(f, ctx.energy, 1, ctx.fastEnergy)
-	}
-	if bestW < 0 {
-		return Solution{}, stats, fmt.Errorf("core: DP found no feasible workload")
-	}
-
-	ids := sc.ids[:0]
-	w := bestW
-	for i := n - 1; i >= start; i-- {
-		if words[int64(i-start)*perRow+w/64]&(1<<uint(w%64)) != 0 {
-			ids = append(ids, its[i].id)
-			w -= its[i].c
-		}
-	}
-	for i := start - 1; i >= 0; i-- {
-		rw := spRows.row(i)
-		j := sort.Search(len(rw), func(x int) bool { return rw[x] >= w })
-		if j == len(rw) || rw[j] != w {
-			return Solution{}, stats, fmt.Errorf("core: DP reconstruction lost workload %d at row %d", w, i)
-		}
-		if spRows.take(i, j) {
-			ids = append(ids, its[i].id)
-			w -= its[i].c
-		}
-	}
-	sc.ids = ids
-	if w != 0 {
-		return Solution{}, stats, fmt.Errorf("core: DP reconstruction left workload %d", w)
-	}
-	sol, err := ctx.evaluate(ids)
-	return sol, stats, err
-}
-
-// solveFromSparse is the SolveFrom warm path over a sparse DPState: the
-// divergence scan and checkpoint selection mirror the dense path, the
-// re-run rows use the sparse merge kernel with the recording's own pruning
-// decision, and the budget counts the retained prefix breakpoints plus the
-// re-run rows — what a cold sparse solve of the mutant would have spent.
-func (d DP) solveFromSparse(ctx *evalCtx, st *DPState, cap64 int64, evolve bool) (sol Solution, stats DPStats, ok bool, err error) {
-	// Pruned rows carry only the dominance frontier, which is exact only
-	// under a monotone final scan; a non-monotone instance must cold-solve.
-	if st.pruned && !ctx.fastEnergy {
-		return Solution{}, stats, false, nil
-	}
-	items := ctx.items
-	n := len(items)
-	div := 0
-	for lim := min(n, st.n); div < lim; div++ {
-		a, b := items[div], st.items[div]
-		if a.c != b.c || math.Float64bits(a.v) != math.Float64bits(b.v) {
-			break
-		}
-	}
-	si := -1
-	for i := len(st.spSnaps) - 1; i >= 0; i-- {
-		if st.spSnaps[i].row <= div {
-			si = i
-			break
-		}
-	}
-	if si < 0 {
-		return Solution{}, stats, false, nil
-	}
-	snap := st.spSnaps[si]
-	start := snap.row
-	prune := st.pruned
-	limit := d.MaxStates
-	if limit == 0 {
-		limit = DefaultMaxSparseCells
-	}
-	spent := st.sp.off[start] // prefix breakpoints the warm state retains
-
-	fail := func(e error) (Solution, DPStats, bool, error) {
-		if evolve {
-			st.valid = false
-		}
-		return Solution{}, stats, true, e
-	}
-
-	sc := getDPScratch()
-	defer putDPScratch(sc)
-	rows := &sc.spRec
-	if evolve {
-		st.stride = d.checkpointStride()
-		st.spSnaps = st.spSnaps[:si+1]
-		rows = &st.sp
-		rows.begin(start)
-	} else {
-		rows.begin(0)
-	}
-
+// warmSparse re-runs a sparse state's rows from checkpoint k with the
+// recording's own pruning decision. The evolve path truncates st's arena
+// and appends in place; the read-only path writes the re-run rows to a
+// scratch arena and reconstructs the untouched prefix rows from st's.
+func (d DP) warmSparse(ctx *evalCtx, st *DPState, k int, evolve bool, sc *dpScratch, stats *DPStats) ([]int, error) {
 	// The snapshot is read-only on both paths (evolve truncates the row
-	// arena, never the snapshot buffers), so it serves as row "start"
+	// arena, never the snapshot buffers), so it serves as the restart row
 	// directly.
-	prevW, prevF := snap.ws, snap.fs
-	bufA, bufB := sc.spF, sc.spF2
-	defer func() { sc.spF, sc.spF2 = bufA, bufB }()
-
-	for i := start; i < n; i++ {
-		stats.Rows++
-		var wrote []float64
-		var k int
-		prevW, prevF, wrote, k = sparseStep(rows, prevW, prevF, bufA, items[i], cap64, prune, limit-spent)
-		bufA, bufB = bufB, wrote
-		if k >= 0 {
-			spent += int64(k)
-			stats.SparseCells += int64(k)
-		}
-		if k < 0 || spent > limit {
-			return fail(sparseBudgetErr(limit, i+1, n))
-		}
-		if evolve {
-			st.noteEvolvedSparseRow(i+1, n, prevW, prevF)
-		}
-	}
+	snap := st.spSnaps[k]
+	r := sparseRun{cap64: st.cap64, row: snap.row, rows: &sc.spRec, base: snap.row, spent: st.sp.off[snap.row], prune: st.pruned}
+	var onRow func(int, []int64, []float64)
 	if evolve {
-		st.items = append(st.items[:0], items...)
-		st.n = n
+		r.rows, r.base, onRow = &st.sp, 0, st.noteSparseRow
+		r.rows.begin(snap.row)
+	} else {
+		r.rows.begin(0)
 	}
-
-	bestW, _ := minCostWorkloadSparse(prevW, prevF, ctx.energy, 1, ctx.fastEnergy)
-	if bestW < 0 {
-		return fail(fmt.Errorf("core: DP found no feasible workload"))
-	}
-
-	// Reconstruct: re-run rows from the fresh window (in place on the
-	// evolve path), untouched prefix rows from the recorded arena.
-	ids := sc.ids[:0]
-	w := bestW
-	for i := n - 1; i >= 0; i-- {
-		src, j := &st.sp, i
-		if !evolve && i >= start {
-			src, j = rows, i-start
-		}
-		rw := src.row(j)
-		x := sort.Search(len(rw), func(y int) bool { return rw[y] >= w })
-		if x == len(rw) || rw[x] != w {
-			return fail(fmt.Errorf("core: DP reconstruction lost workload %d at row %d", w, i))
-		}
-		if src.take(j, x) {
-			ids = append(ids, items[i].id)
-			w -= items[i].c
-		}
-	}
-	sc.ids = ids
-	if w != 0 {
-		return fail(fmt.Errorf("core: DP reconstruction left workload %d", w))
-	}
-	sol, err = ctx.evaluate(ids)
-	return sol, stats, true, err
+	return r.solve(d, ctx, snap.ws, snap.fs, takeRows{sp: &st.sp}, sc, stats, onRow)
 }

@@ -1,21 +1,19 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"dvsreject/internal/conc"
-)
+import "math"
 
 // DefaultCheckpointStride is the row-snapshot interval of SolveCheckpoint
 // when DP.CheckpointStride is 0.
 const DefaultCheckpointStride = 64
 
 // DPState is the checkpointed row state of one rejection-DP solve: the
-// packed take-bit table of every row (the dpkernel layout, shared with the
-// cold solver) plus f-row snapshots every CheckpointStride rows and at the
-// final row. SolveFrom warm-starts a later solve from it, re-running only
-// the rows at or after the first task where the two instances diverge.
+// packed take-bit table of every row (the dpkernel layout, written in
+// place by the recording run) plus f-row snapshots every CheckpointStride
+// rows and at the final row. SolveFrom warm-starts a later solve from it,
+// re-running only the rows at or after the first task where the two
+// instances diverge: it restores the checkpoint and hands the remaining
+// rows to the same row runner a cold solve uses (dp.go, dpsparse.go), so
+// a warm solve is a cold solve that starts later.
 //
 // The key validity fact: a DP row depends only on the (cycles, penalty)
 // bit patterns of the item prefix and on the integer grid capacity — not
@@ -45,8 +43,9 @@ type DPState struct {
 	stride int
 	perRow int64 // take-table words per row, (cap64+1+63)/64
 	items  []item
-	words  []uint64 // packed take bits, rows 0..n-1
-	snaps  []dpSnap // ascending by row; last row always snapshotted
+	words  []uint64  // packed take bits, rows 0..n-1
+	snaps  []dpSnap  // ascending by row; last row always snapshotted
+	snapF  []float64 // the snapshots' f-prefixes, back to back in row order
 
 	sparse  bool // rows recorded by the sparse kernel
 	pruned  bool // sparse rows carry only the dominance frontier
@@ -63,11 +62,12 @@ type sparseSnap struct {
 }
 
 // dpSnap is one f-row snapshot: the finite prefix after `row` items have
-// been folded in. Cells above reach were never written and are +Inf.
+// been folded in, at snapF[off:off+reach+1]. Cells above reach were never
+// written and are +Inf.
 type dpSnap struct {
 	row   int
 	reach int64
-	f     []float64 // length reach+1
+	off   int64
 }
 
 // Valid reports whether the state holds a completed recorded solve.
@@ -88,14 +88,8 @@ func (st *DPState) Reset() { st.valid = false }
 // replay. The serve-layer similarity index registers its hash-chain keys
 // at exactly these rows.
 func (st *DPState) AppendSnapshotRows(buf []int) []int {
-	if st.sparse {
-		for _, s := range st.spSnaps {
-			buf = append(buf, s.row)
-		}
-		return buf
-	}
-	for _, s := range st.snaps {
-		buf = append(buf, s.row)
+	for k := 0; k < st.snapCount(); k++ {
+		buf = append(buf, st.snapRow(k))
 	}
 	return buf
 }
@@ -110,120 +104,131 @@ func (st *DPState) MemoryBytes() int64 {
 		}
 		return b + int64(len(st.items))*32
 	}
-	b := int64(len(st.words)) * 8
-	for _, s := range st.snaps {
-		b += int64(len(s.f)) * 8
-	}
-	b += int64(len(st.items)) * 32
-	return b
+	return int64(len(st.words))*8 + int64(len(st.snapF))*8 + int64(len(st.items))*32
 }
 
-// begin resets the state for a fresh dense recording, keeping backing
-// arrays.
-func (st *DPState) begin(cap64 int64, stride, n int) {
+// begin resets the state for a fresh recording of items, keeping backing
+// arrays. A dense recording zeroes a take table for the run to write into
+// and sizes the snapshot arena exactly — a row's reach is the capped
+// prefix sum of the cycles that fit, so every checkpoint's length is known
+// up front; a sparse one has the run write the row arenas (st.sp) in
+// place. The state turns valid once the run has succeeded.
+func (st *DPState) begin(cap64 int64, stride int, items []item, sparse, pruned bool) {
+	n := len(items)
 	st.valid = false
-	st.sparse = false
-	st.cap64 = cap64
-	st.stride = stride
-	st.n = n
-	st.perRow = (cap64 + 1 + 63) / 64
-	st.snaps = st.snaps[:0]
-	st.spSnaps = st.spSnaps[:0]
-}
-
-// beginSparse resets the state for a fresh sparse recording; the solver
-// writes the row arenas (st.sp) in place as it runs.
-func (st *DPState) beginSparse(cap64 int64, stride, n int, pruned bool) {
-	st.valid = false
-	st.sparse = true
-	st.pruned = pruned
-	st.cap64 = cap64
-	st.stride = stride
-	st.n = n
+	st.sparse, st.pruned = sparse, pruned
+	st.cap64, st.stride, st.n = cap64, stride, n
+	st.items = append(st.items[:0], items...)
 	st.perRow = 0
 	st.snaps = st.snaps[:0]
 	st.spSnaps = st.spSnaps[:0]
+	k := n/stride + 1
+	if sparse {
+		if cap(st.spSnaps) < k {
+			st.spSnaps = make([]sparseSnap, 0, k)
+		}
+		return
+	}
+	if cap(st.snaps) < k {
+		st.snaps = make([]dpSnap, 0, k)
+	}
+	var reach, total int64
+	for i, it := range items {
+		if it.c <= cap64 {
+			reach = min(reach+it.c, cap64)
+		}
+		if (i+1)%stride == 0 || i+1 == n {
+			total += reach + 1
+		}
+	}
+	st.snapF = growF64(st.snapF, int(total))[:0]
+	st.perRow = (cap64 + 64) / 64
+	st.words = zeroedU64(st.words, int(int64(n)*st.perRow))
 }
 
-// noteSparseRow is the sparse recording hook: snapshot breakpoints on the
+// noteRow is the dense runner's row hook: snapshot f[0:reach+1] on the
 // stride grid and at the final row.
+func (st *DPState) noteRow(rows int, f []float64, reach int64) {
+	if rows%st.stride != 0 && rows != st.n {
+		return
+	}
+	st.snaps = append(st.snaps, dpSnap{row: rows, reach: reach, off: int64(len(st.snapF))})
+	st.snapF = append(st.snapF, f[:reach+1]...)
+}
+
+// noteSparseRow is the sparse runner's row hook: snapshot the breakpoints
+// on the stride grid and at the final row.
 func (st *DPState) noteSparseRow(rows int, ws []int64, fs []float64) {
 	if rows%st.stride != 0 && rows != st.n {
 		return
 	}
-	st.addSparseSnap(rows, ws, fs)
-}
-
-// noteEvolvedSparseRow is noteSparseRow against the evolving target row
-// count, matching what a cold sparse recording of the evolved instance
-// would have snapshotted from this row on.
-func (st *DPState) noteEvolvedSparseRow(rows, n int, ws []int64, fs []float64) {
-	if rows%st.stride != 0 && rows != n {
-		return
-	}
-	st.addSparseSnap(rows, ws, fs)
-}
-
-// addSparseSnap appends a breakpoint snapshot, reusing the buffers of a
-// previously truncated snapshot slot when one is available.
-func (st *DPState) addSparseSnap(row int, ws []int64, fs []float64) {
-	if k := len(st.spSnaps); k > 0 && st.spSnaps[k-1].row == row {
-		return
-	}
+	// Reuse the buffers of a previously truncated snapshot slot.
 	var s sparseSnap
 	if len(st.spSnaps) < cap(st.spSnaps) {
 		s = st.spSnaps[:len(st.spSnaps)+1][len(st.spSnaps)]
 	}
-	s.row = row
+	s.row = rows
 	s.ws = append(s.ws[:0], ws...)
 	s.fs = append(s.fs[:0], fs...)
 	st.spSnaps = append(st.spSnaps, s)
 }
 
-// finishSparse copies the item prefix and marks the state valid; the row
-// arenas were written in place by the solver.
-func (st *DPState) finishSparse(items []item) {
+// snapRow returns the row of checkpoint k in the state's representation.
+func (st *DPState) snapRow(k int) int {
+	if st.sparse {
+		return st.spSnaps[k].row
+	}
+	return st.snaps[k].row
+}
+
+// snapCount is the number of recorded checkpoints.
+func (st *DPState) snapCount() int {
+	if st.sparse {
+		return len(st.spSnaps)
+	}
+	return len(st.snaps)
+}
+
+// restart picks the warm-start point for items: the latest checkpoint at
+// or before the first row where items diverge from the recorded prefix.
+// Only the (c, v) bit patterns participate — IDs label the reconstruction
+// but never steer the table. It returns the checkpoint index, or -1 when
+// the divergence precedes every checkpoint.
+func (st *DPState) restart(items []item) int {
+	div := 0
+	for lim := min(len(items), st.n); div < lim; div++ {
+		a, b := items[div], st.items[div]
+		if a.c != b.c || math.Float64bits(a.v) != math.Float64bits(b.v) {
+			break
+		}
+	}
+	k := st.snapCount() - 1
+	for k >= 0 && st.snapRow(k) > div {
+		k--
+	}
+	return k
+}
+
+// evolve prepares an exclusively owned state to be advanced in place to
+// describe items from checkpoint k on: later checkpoints are dropped (the
+// run's row hook re-records them against the new row count) and the item
+// prefix is adopted. A failed run leaves the state invalid.
+func (st *DPState) evolve(k, stride int, items []item) {
+	st.stride = stride
+	if st.sparse {
+		st.spSnaps = st.spSnaps[:k+1]
+	} else {
+		st.snaps = st.snaps[:k+1]
+		s := st.snaps[k]
+		st.snapF = st.snapF[:s.off+s.reach+1]
+	}
 	st.items = append(st.items[:0], items...)
-	st.valid = true
-}
-
-// noteRow is the rejectionDP onRow hook: snapshot on the stride grid and
-// at the final row.
-func (st *DPState) noteRow(rows int, f []float64, reach int64) {
-	if rows%st.stride != 0 && rows != st.n {
-		return
-	}
-	st.addSnap(rows, reach, f)
-}
-
-// addSnap appends a snapshot of f[0:reach+1], reusing the float buffer of
-// a previously truncated snapshot slot when one is available.
-func (st *DPState) addSnap(row int, reach int64, f []float64) {
-	if k := len(st.snaps); k > 0 && st.snaps[k-1].row == row {
-		return
-	}
-	var buf []float64
-	if len(st.snaps) < cap(st.snaps) {
-		buf = st.snaps[:len(st.snaps)+1][len(st.snaps)].f
-	}
-	buf = growF64(buf, int(reach+1))
-	copy(buf, f[:reach+1])
-	st.snaps = append(st.snaps, dpSnap{row: row, reach: reach, f: buf})
-}
-
-// finish copies the item prefix and the completed take table into the
-// state and marks it valid.
-func (st *DPState) finish(items []item, words []uint64) {
-	st.items = append(st.items[:0], items...)
-	need := int64(st.n) * st.perRow
-	st.words = growU64(st.words, int(need))
-	copy(st.words, words[:need])
-	st.valid = true
+	st.n = len(items)
 }
 
 // ensureRows grows the take table to hold n rows, preserving the first
-// keep rows. Growth doubles so an append-per-event stream stays amortized
-// O(1) words copied per row.
+// keep rows and zeroing the rest. Growth doubles so an append-per-event
+// stream stays amortized O(1) words copied per row.
 func (st *DPState) ensureRows(n, keep int) {
 	need := int64(n) * st.perRow
 	if int64(cap(st.words)) < need {
@@ -237,11 +242,7 @@ func (st *DPState) ensureRows(n, keep int) {
 		return
 	}
 	st.words = st.words[:need]
-}
-
-// take reports row i's take bit at workload w against the state's table.
-func (st *DPState) take(i int, w int64) bool {
-	return st.words[int64(i)*st.perRow+w/64]&(1<<uint(w%64)) != 0
+	clear(st.words[int64(keep)*st.perRow:])
 }
 
 // DPGridCapacity returns the integer workload capacity DP grids the
@@ -268,16 +269,18 @@ func (d DP) SolveCheckpoint(in Instance, st *DPState) (Solution, DPStats, error)
 // solve: it finds the first task where in diverges from the recorded item
 // prefix (comparing cycles and penalty bit patterns; IDs and the
 // processor's power model don't enter the table), restores the last
-// checkpoint at or before it, and re-runs only the remaining rows. The
-// final workload scan and the solution evaluation always use in's own
-// energy curve, so the result is bit-identical to a cold d.Solve(in) —
-// the differential corpus and FuzzDeltaSolve pin this.
+// checkpoint at or before it, and re-runs only the remaining rows on the
+// state's own row runner. The final workload scan and the solution
+// evaluation always use in's own energy curve, so the result is
+// bit-identical to a cold d.Solve(in) — the differential corpus,
+// FuzzDeltaSolve and FuzzSparseDense pin this.
 //
 // ok=false means the state cannot warm this instance (invalid state,
-// different grid capacity, or divergence before the first checkpoint);
-// the caller should cold-solve. A non-nil error is the same failure a
-// cold solve would report. The returned DPStats counts only the re-run
-// rows — the measure of work saved.
+// different grid capacity, divergence before the first checkpoint, or
+// pruned sparse rows under a non-monotone curve); the caller should
+// cold-solve. A non-nil error is the same failure a cold solve would
+// report. The returned DPStats counts only the re-run rows — the measure
+// of work saved.
 //
 // evolve=false treats st as read-only (safe for concurrent SolveFrom
 // calls sharing one parent); evolve=true requires exclusive ownership and
@@ -299,182 +302,64 @@ func (d DP) SolveFrom(st *DPState, in Instance, evolve bool) (sol Solution, stat
 	if cap64 != st.cap64 {
 		return Solution{}, stats, false, nil
 	}
-	if st.sparse {
-		// Sparse states re-run on the sparse kernel under the breakpoint
-		// budget; the dense grid-area admission below does not apply.
-		return d.solveFromSparse(ctx, st, cap64, evolve)
-	}
-	limit := d.MaxStates
-	if limit == 0 {
-		limit = DefaultMaxDPStates
-	}
-	if work := int64(len(ctx.items)) * (cap64 + 1); work > limit {
-		return Solution{}, stats, false, denseStatesErr(work, len(ctx.items), cap64, limit)
-	}
-
-	items := ctx.items
-	n := len(items)
-	// First divergent row. Only the (c, v) bit patterns participate: IDs
-	// label the reconstruction but never steer the table.
-	div := 0
-	for lim := min(n, st.n); div < lim; div++ {
-		a, b := items[div], st.items[div]
-		if a.c != b.c || math.Float64bits(a.v) != math.Float64bits(b.v) {
-			break
-		}
-	}
-	// Latest checkpoint at or before the divergence.
-	si := -1
-	for i := len(st.snaps) - 1; i >= 0; i-- {
-		if st.snaps[i].row <= div {
-			si = i
-			break
-		}
-	}
-	if si < 0 {
+	// Pruned sparse rows carry only the dominance frontier, which is exact
+	// only under a monotone final scan; a non-monotone instance must
+	// cold-solve.
+	if st.sparse && st.pruned && !ctx.fastEnergy {
 		return Solution{}, stats, false, nil
 	}
-	snap := st.snaps[si]
-	start := snap.row
-	width := cap64 + 1
-	perRow := st.perRow
-	workers := d.Workers
-	if workers < 1 {
-		workers = 1
+	// Sparse states re-run under the breakpoint budget; the dense grid-area
+	// admission applies to dense states only.
+	items := ctx.items
+	if !st.sparse {
+		if err := d.admitDense(len(items), cap64); err != nil {
+			return Solution{}, stats, false, err
+		}
 	}
-
-	// Restore the checkpoint into fresh Inf-filled buffers — cells beyond
-	// the snapshot's reach must read +Inf exactly as they did mid-cold-run.
+	k := st.restart(items)
+	if k < 0 {
+		return Solution{}, stats, false, nil
+	}
+	if evolve {
+		st.evolve(k, d.checkpointStride(), items)
+	}
 	sc := getDPScratch()
 	defer putDPScratch(sc)
-	prev := growF64(sc.f, int(width))
-	sc.f = prev
-	cur := growF64(sc.f2, int(width))
-	sc.f2 = cur
-	for w := range prev {
-		prev[w] = math.Inf(1)
-	}
-	for w := range cur {
-		cur[w] = math.Inf(1)
-	}
-	reach := snap.reach
-	copy(prev[:reach+1], snap.f)
-
-	// Take bits for the re-run rows. The kernels only guarantee full
-	// rewrites of the words covering reachable cells, so stale rows are
-	// cleared up front — exactly the state newTakeTable hands a cold run.
-	var words []uint64
-	if evolve {
-		st.stride = d.checkpointStride()
-		st.snaps = st.snaps[:si+1]
-		st.ensureRows(n, start)
-		words = st.words
-		clear(words[int64(start)*perRow : int64(n)*perRow])
+	var ids []int
+	if st.sparse {
+		ids, err = d.warmSparse(ctx, st, k, evolve, sc, &stats)
 	} else {
-		words = growU64(sc.words, int(int64(n-start)*perRow))
-		sc.words = words
-		clear(words)
+		ids, err = d.warmDense(ctx, st, k, evolve, sc, &stats)
 	}
-	// rowBase translates absolute row i into words: in-place rows on the
-	// evolve path, a compact [start, n) window on the read-only path.
-	rowBase := func(i int) int64 {
-		if evolve {
-			return int64(i) * perRow
-		}
-		return int64(i-start) * perRow
-	}
-
-	// Re-run rows start..n-1, mirroring rejectionDP operation for
-	// operation (same kernels, same parallel chunking condition).
-	for i := start; i < n; i++ {
-		stats.Rows++
-		c, v := items[i].c, items[i].v
-		if c > cap64 {
-			hi := reach + 1
-			dpRejectRange(prev, cur, v, 0, hi)
-			stats.Cells += hi
-			prev, cur = cur, prev
-			if evolve {
-				st.noteEvolvedRow(i+1, n, prev, reach)
-			}
-			continue
-		}
-		reach = min(reach+c, cap64)
-		hi := reach + 1
-		rowBits := words[rowBase(i) : rowBase(i)+perRow]
-		if workers > 1 && hi >= int64(64*workers) {
-			chunk := (hi + int64(workers) - 1) / int64(workers)
-			chunk = (chunk + 63) &^ 63
-			nch := int((hi + chunk - 1) / chunk)
-			conc.ForEach(nch, workers, func(k int) (struct{}, error) {
-				lo := int64(k) * chunk
-				dpRowRange(prev, cur, rowBits, c, v, lo, min(lo+chunk, hi))
-				return struct{}{}, nil
-			})
-		} else {
-			dpRowRange(prev, cur, rowBits, c, v, 0, hi)
-		}
-		stats.Cells += hi
-		prev, cur = cur, prev
-		if evolve {
-			st.noteEvolvedRow(i+1, n, prev, reach)
-		}
-	}
-	f := prev
-	if evolve {
-		st.items = append(st.items[:0], items...)
-		st.n = n
-	}
-
-	// The final scan and the evaluation run against in's own energy curve
-	// — this is where instances sharing rows but differing in processor
-	// model, FastPow or dormant mode part ways, each exactly.
-	var bestW int64
-	if workers > 1 && ctx.fastEnergy {
-		bestW, _ = minCostWorkloadParallel(f, ctx.energy, 1, workers)
-	} else {
-		bestW, _ = minCostWorkload(f, ctx.energy, 1, ctx.fastEnergy)
-	}
-	if bestW < 0 {
+	if err != nil {
 		if evolve {
 			st.valid = false
 		}
-		return Solution{}, stats, true, fmt.Errorf("core: DP found no feasible workload")
-	}
-
-	// Reconstruct: re-run rows from the fresh window, untouched prefix
-	// rows from the recorded table.
-	ids := sc.ids[:0]
-	w := bestW
-	for i := n - 1; i >= 0; i-- {
-		var taken bool
-		if i >= start {
-			taken = words[rowBase(i)+w/64]&(1<<uint(w%64)) != 0
-		} else {
-			taken = st.take(i, w)
-		}
-		if taken {
-			ids = append(ids, items[i].id)
-			w -= items[i].c
-		}
-	}
-	sc.ids = ids
-	if w != 0 {
-		if evolve {
-			st.valid = false
-		}
-		return Solution{}, stats, true, fmt.Errorf("core: DP reconstruction left workload %d", w)
+		return Solution{}, stats, true, err
 	}
 	sol, err = ctx.evaluate(ids)
 	return sol, stats, true, err
 }
 
-// noteEvolvedRow records checkpoints during an evolve re-run: the stride
-// grid plus the new final row, matching what a cold SolveCheckpoint of
-// the evolved instance would have recorded from this row on.
-func (st *DPState) noteEvolvedRow(rows, n int, f []float64, reach int64) {
-	if rows%st.stride != 0 && rows != n {
-		return
+// warmDense re-runs a dense state's rows from checkpoint k. The evolve
+// path writes take bits in place into st's table; the read-only path
+// writes a compact window of the re-run rows into pooled scratch and
+// reconstructs the untouched prefix rows from st's table.
+func (d DP) warmDense(ctx *evalCtx, st *DPState, k int, evolve bool, sc *dpScratch, stats *DPStats) ([]int, error) {
+	snap := st.snaps[k]
+	n := len(ctx.items)
+	r := denseRun{its: ctx.items, cap64: st.cap64, workers: d.Workers, row: snap.row, reach: snap.reach}
+	// Cells beyond the snapshot's reach must read +Inf exactly as they did
+	// mid-cold-run.
+	r.prev, r.cur = sc.denseRows(st.cap64 + 1)
+	copy(r.prev, st.snapF[snap.off:snap.off+snap.reach+1])
+	var onRow func(int, []float64, int64)
+	if evolve {
+		st.ensureRows(n, snap.row)
+		r.take, onRow = denseTake(st.words, st.perRow, 0), st.noteRow
+	} else {
+		sc.words = zeroedU64(sc.words, int(int64(n-snap.row)*st.perRow))
+		r.take = denseTake(sc.words, st.perRow, snap.row)
 	}
-	st.addSnap(rows, reach, f)
+	return r.solve(ctx.energy, 1, ctx.fastEnergy, denseTake(st.words, st.perRow, 0), sc, stats, onRow)
 }

@@ -48,6 +48,9 @@ func warmVsCold(t *testing.T, name string, d DP, st *DPState, mutant Instance, w
 	if warmStats.Rows > coldStats.Rows {
 		t.Fatalf("%s: warm re-ran %d rows, cold ran %d", name, warmStats.Rows, coldStats.Rows)
 	}
+	if !st.sparse && warmStats.DenseRows != warmStats.Rows {
+		t.Fatalf("%s: dense warm start reported %d dense rows of %d", name, warmStats.DenseRows, warmStats.Rows)
+	}
 }
 
 // mutateTasks returns a deep copy of in with its task list replaced.

@@ -39,30 +39,19 @@ func ParetoFrontier(in Instance) ([]FrontierPoint, error) {
 	}
 	width := cap64 + 1
 
-	// The rows run through the shared double-buffered kernel (dpkernel.go);
-	// its per-cell select equals the seed's math.Min(reject, accept) bit
-	// for bit (no NaNs enter the table and tied values share their bits).
-	// The take bits it records go to a single reused row, ignored here.
-	prev := make([]float64, width)
-	cur := make([]float64, width)
-	for w := range prev {
-		prev[w] = math.Inf(1)
-		cur[w] = math.Inf(1)
-	}
-	prev[0] = 0
-	bits := make([]uint64, (width+63)/64)
-	var reach int64
-	for _, it := range its {
-		if it.c > cap64 {
-			dpRejectRange(prev, cur, it.v, 0, reach+1)
-			prev, cur = cur, prev
-			continue
-		}
-		reach = min(reach+it.c, cap64)
-		dpRowRange(prev, cur, bits, it.c, it.v, 0, reach+1)
-		prev, cur = cur, prev
-	}
-	f := prev
+	// The rows run through the shared dense row runner (dp.go); its
+	// per-cell select equals the seed's math.Min(reject, accept) bit for
+	// bit (no NaNs enter the table and tied values share their bits). The
+	// take bits it records go to a single reused row, ignored here.
+	sc := getDPScratch()
+	defer putDPScratch(sc)
+	r := denseRun{its: its, cap64: cap64}
+	r.prev, r.cur = sc.denseRows(width)
+	r.prev[0] = 0
+	perRow := (width + 63) / 64
+	sc.words = zeroedU64(sc.words, int(perRow))
+	r.take = takeRows{words: sc.words, perRow: perRow}
+	f := r.run(&DPStats{}, nil)
 
 	// Non-dominated sweep: walk w upward (energy non-decreasing) and keep
 	// points that strictly lower the penalty.

@@ -78,7 +78,7 @@ func CostLowerBound(in Instance, maxStates int64) (float64, error) {
 
 	sc := getDPScratch()
 	defer putDPScratch(sc)
-	accepted, _, err := rejectionDP(its, cap64/k, ctx.energy, float64(k), true, 1, sc, nil)
+	accepted, _, err := solveDense(its, cap64/k, ctx.energy, float64(k), true, 1, sc, nil)
 	if err != nil {
 		return 0, err
 	}

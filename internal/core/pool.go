@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -34,6 +35,22 @@ type dpScratch struct {
 	spRec  sparseRows // sparse per-row breakpoint record (unrecorded sparse solves)
 	spF    []float64  // sparse row value buffers (the merge double-buffers values;
 	spF2   []float64  // workloads live in the spRec arenas)
+}
+
+// denseRows returns the two dense row buffers, width cells each, +Inf
+// filled: cells at or above a row's reachable bound are never written in
+// either buffer, so they keep this +Inf for the final scan.
+func (sc *dpScratch) denseRows(width int64) (prev, cur []float64) {
+	prev = growF64(sc.f, int(width))
+	cur = growF64(sc.f2, int(width))
+	sc.f, sc.f2 = prev, cur
+	for w := range prev {
+		prev[w] = math.Inf(1)
+	}
+	for w := range cur {
+		cur[w] = math.Inf(1)
+	}
+	return prev, cur
 }
 
 // The pools sit behind atomic pointers so PurgeSolverScratch can swap in
@@ -85,11 +102,16 @@ func growF64(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-func growU64(buf []uint64, n int) []uint64 {
+// zeroedU64 returns a zeroed length-n slice, reusing buf's backing when it
+// is large enough (a fresh make() is already zero, so only a reused
+// backing is cleared).
+func zeroedU64(buf []uint64, n int) []uint64 {
 	if cap(buf) < n {
 		return make([]uint64, n)
 	}
-	return buf[:n]
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func growI64(buf []int64, n int) []int64 {

@@ -1,11 +1,11 @@
 // Fuzz target for the sparse dominance-pruned DP rows: arbitrary
 // instances are solved by the dense and sparse kernels under a shared
-// state budget. Wherever the dense grid is admitted, the sparse result
-// must be bit-identical (and its breakpoint spend bounded by the dense
-// cell spend); where only the sparse rows fit the budget, the EDF oracle
-// must accept the sparse answer. A sparse-recorded checkpoint state is
-// then pushed through the warm-start mutation battery against cold
-// sparse solves.
+// state budget, serial and with two row-parallel workers. Wherever the
+// dense grid is admitted, the sparse result must be bit-identical (and its
+// breakpoint spend bounded by the dense cell spend); where only the sparse
+// rows fit the budget, the EDF oracle must accept the sparse answer. A
+// sparse-recorded checkpoint state is then pushed through the warm-start
+// battery of deltafuzz_test.go, read-only and evolving.
 package core_test
 
 import (
@@ -22,10 +22,10 @@ import (
 // still fit — both sides of the switch get fuzzed.
 const sparseFuzzBudget = 2048
 
-func checkSparseDense(in core.Instance) error {
+func checkSparseDense(workers int, in core.Instance) error {
 	// Unlimited budget: both kernels must solve and agree bit for bit.
-	dense := core.DP{Sparse: core.SparseOff}
-	sparse := core.DP{Sparse: core.SparseOn}
+	dense := core.DP{Sparse: core.SparseOff, Workers: workers}
+	sparse := core.DP{Sparse: core.SparseOn, Workers: workers}
 	dsol, dstats, derr := dense.SolveStats(in)
 	ssol, sstats, serr := sparse.SolveStats(in)
 	if (derr == nil) != (serr == nil) {
@@ -45,8 +45,8 @@ func checkSparseDense(in core.Instance) error {
 	// dense-admitted instance must also solve sparsely (bit-identically);
 	// a dense-rejected one may still fit the sparse budget, in which case
 	// the oracle is the only reference.
-	denseT := core.DP{Sparse: core.SparseOff, MaxStates: sparseFuzzBudget}
-	sparseT := core.DP{Sparse: core.SparseOn, MaxStates: sparseFuzzBudget}
+	denseT := core.DP{Sparse: core.SparseOff, MaxStates: sparseFuzzBudget, Workers: workers}
+	sparseT := core.DP{Sparse: core.SparseOn, MaxStates: sparseFuzzBudget, Workers: workers}
 	dsolT, derrT := denseT.Solve(in)
 	ssolT, serrT := sparseT.Solve(in)
 	switch {
@@ -63,42 +63,18 @@ func checkSparseDense(in core.Instance) error {
 		}
 	}
 
-	// Warm-start battery over a sparse-recorded state: every accepted
-	// warm result must match a cold sparse solve bit for bit.
+	// Warm-start battery over a sparse-recorded state.
 	if serr != nil {
 		return nil
 	}
-	d := core.DP{CheckpointStride: 4, Sparse: core.SparseOn}
-	var st core.DPState
-	if _, _, err := d.SolveCheckpoint(in, &st); err != nil {
-		if st.Valid() {
-			return fmt.Errorf("sparse: cold solve failed (%v) but left a valid state", err)
-		}
-		return nil
-	}
-	for _, m := range deltaMutants(in) {
-		want, errC := sparse.Solve(m.in)
-		sol, _, ok, errW := d.SolveFrom(&st, m.in, false)
-		if (errC == nil) != (errW == nil) {
-			return fmt.Errorf("sparse warm %s: cold err=%v, warm err=%v", m.name, errC, errW)
-		}
-		if errC != nil || !ok {
-			continue
-		}
-		if err := verify.BitIdenticalSolutions(sol, want); err != nil {
-			return fmt.Errorf("sparse warm %s: %w", m.name, err)
-		}
-		if err := verify.CheckSolution(m.in, sol); err != nil {
-			return fmt.Errorf("sparse warm %s: oracle: %w", m.name, err)
-		}
-	}
-	return nil
+	return checkDeltaSolve(core.DP{CheckpointStride: 4, Sparse: core.SparseOn, Workers: workers}, in)
 }
 
 // FuzzSparseDense decodes arbitrary bytes into an instance and pins the
 // sparse row kernel against the dense reference: bit-identity wherever
 // both are admitted, oracle validity beyond the dense budget wall, and
-// warm-start correctness over sparse-recorded states.
+// warm-start correctness over sparse-recorded states, serial and with two
+// row-parallel workers.
 func FuzzSparseDense(f *testing.F) {
 	for _, s := range verify.SeedInstances() {
 		if data, ok := verify.EncodeInstance(s.In); ok {
@@ -110,8 +86,11 @@ func FuzzSparseDense(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		if err := checkSparseDense(in); err != nil {
-			failShrunk(t, in, err, checkSparseDense)
+		for _, workers := range []int{1, 2} {
+			check := func(in core.Instance) error { return checkSparseDense(workers, in) }
+			if err := check(in); err != nil {
+				failShrunk(t, in, fmt.Errorf("workers=%d: %w", workers, err), check)
+			}
 		}
 	})
 }

@@ -60,16 +60,13 @@ type deltaIndex struct {
 	byKey      map[chainKey]*deltaParent
 }
 
-func newDeltaIndex(maxParents int, maxBytes int64) *deltaIndex {
+func newDeltaIndex(maxParents int) *deltaIndex {
 	if maxParents <= 0 {
 		maxParents = defaultDeltaParents
 	}
-	if maxBytes <= 0 {
-		maxBytes = defaultDeltaBytes
-	}
 	return &deltaIndex{
 		maxParents: maxParents,
-		maxBytes:   maxBytes,
+		maxBytes:   defaultDeltaBytes,
 		lru:        list.New(),
 		byKey:      make(map[chainKey]*deltaParent),
 	}

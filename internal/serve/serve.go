@@ -65,10 +65,8 @@ type Config struct {
 	// way — the delta path is bit-identical by construction.
 	DisableDelta bool
 	// DeltaParents bounds the similarity index's resident DPState count;
-	// 0 means 16.
+	// 0 means 16. Their retained state memory is bounded at 64 MiB.
 	DeltaParents int
-	// DeltaBytes bounds the index's retained state memory; 0 means 64 MiB.
-	DeltaBytes int64
 	// DeltaStride is the DP checkpoint interval recorded for warm starts;
 	// 0 means core.DefaultCheckpointStride.
 	DeltaStride int
@@ -239,7 +237,7 @@ func New(cfg Config) *Engine {
 		cache: cache.NewSharded[entry](cfg.Shards, cfg.EntriesPerShard),
 	}
 	if !cfg.DisableDelta {
-		e.delta = newDeltaIndex(cfg.DeltaParents, cfg.DeltaBytes)
+		e.delta = newDeltaIndex(cfg.DeltaParents)
 	}
 	return e
 }
