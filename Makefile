@@ -12,10 +12,12 @@ vet:
 	gofmt -l .
 
 # The second line reruns the DP core on the portable scalar kernel (the
-# only one off amd64) in place of the AVX2 blocks.
+# only one off amd64) in place of the AVX2 blocks. The third vets and
+# tests the nested perfbench module, which the root ./... never builds.
 test:
 	$(GO) test ./...
 	$(GO) test -short -tags purego ./internal/core/
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...

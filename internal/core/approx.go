@@ -84,7 +84,7 @@ func (a ApproxDP) SolveStats(in Instance) (Solution, DPStats, error) {
 		return Solution{}, DPStats{}, fmt.Errorf("core: ApproxDP needs %d states, over the limit %d (raise ε)", work, limit)
 	}
 
-	accepted, st, err := solveDense(scaled, capScaled, ctx.energy, float64(k), ctx.fastEnergy, a.Workers, sc, nil)
+	accepted, st, err := solveDense(scaled, capScaled, ctx.energy, float64(k), ctx.curve.Monotone(), a.Workers, sc, nil)
 	if err != nil {
 		return Solution{}, st, err
 	}

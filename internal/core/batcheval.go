@@ -66,7 +66,7 @@ func (b *BatchEval) Energy(w float64) float64 { return b.ctx.energy(w) }
 // EnergyMonotone reports whether E(w) is non-decreasing in w — true on
 // the closed-form continuous curve, not guaranteed on discrete ladders or
 // dormant-enable break-even plateaus.
-func (b *BatchEval) EnergyMonotone() bool { return b.ctx.fastEnergy }
+func (b *BatchEval) EnergyMonotone() bool { return b.ctx.curve.Monotone() }
 
 // TotalPenalty returns Σ v_i over all tasks, summed in column order.
 func (b *BatchEval) TotalPenalty() float64 {

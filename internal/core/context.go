@@ -21,16 +21,18 @@ import (
 //     inside every surrogateEnergy call, which made S-GREEDY's swap loop
 //     O(n³) per iteration);
 //   - the flattened items slice and an id→index map shared with Evaluate;
-//   - the closed-form coefficients of the energy curve, so E(W) probes on
-//     continuous-speed processors are a single math.Pow instead of a full
+//   - the processor's energy curve as one speed.Curve, so E(W) probes on
+//     continuous-speed processors are a single math.Pow and discrete
+//     ladders read memoized level powers, instead of a full
 //     speed.Proc.Assign with its per-call validation and candidate
 //     enumeration.
 //
 // Exactness contract: every ctx method reproduces the corresponding
-// Instance method bit for bit (the fast energy path mirrors the float
-// operation sequence of speed.Proc.Assign exactly), so solver decisions,
-// tie-breaks and branch-and-bound node counts are unchanged by the
-// caching. The context is immutable after construction and safe for
+// Instance method bit for bit — energy and fits are speed.Curve's, which
+// mirrors speed.Proc.Assign exactly — so solver decisions, tie-breaks and
+// branch-and-bound node counts are unchanged by the caching. The one
+// opt-out is Instance.FastPow, which the curve honours and a tolerance
+// test covers. The context is immutable after construction and safe for
 // concurrent use by parallel search workers; callers must not mutate
 // items (sorting solvers clone it first).
 type evalCtx struct {
@@ -51,38 +53,16 @@ type evalCtx struct {
 
 	deadline float64
 	capacity float64 // smax·D in true cycles
-	capSlack float64 // capacity·(1+1e-9), the Fits acceptance threshold
 
-	hetero bool // any task with a non-trivial power coefficient
-	convex bool // surrogate energy curve is convex (strong B&B pruning)
+	hetero   bool    // any task with a non-trivial power coefficient
+	convex   bool    // surrogate energy curve is convex (strong B&B pruning)
+	hetDenom float64 // D^(α−1), the heterogeneous surrogate denominator
 
-	// fastEnergy marks instances whose energy curve has the closed
-	// continuous-speed form below (Levels == nil, dormant disabled —
-	// leakage is fine). Discrete-speed and dormant-enable processors fall
-	// back to speed.Proc.Energy, still skipping the per-call capacity and
-	// heterogeneity recomputation.
-	fastEnergy bool
-	smin, smax float64
-	pind       float64 // static power Pind
-	coeff      float64 // dynamic power coefficient
-	alpha      float64 // dynamic power exponent
-	idleTotal  float64 // energy of an entirely idle frame, Pind·D
-	hetDenom   float64 // D^(α−1), the heterogeneous surrogate denominator
-
-	// fastPow routes the α ∈ {2, 3} dynamic-power exponentiations through
-	// integer multiplies instead of math.Pow. Opt-in via Instance.FastPow
-	// only: the products differ from math.Pow in the last ulp on some
-	// inputs, so the default path never takes it (a tolerance test, not
-	// the bit-identity corpus, covers it).
-	fastPow bool
-
-	// discreteFast marks instances on discrete-ladder processors, whose
-	// E(w) probes go through curve — the assignDiscrete mirror with the
-	// per-level powers memoized (bit-identical on every probe). The memo
-	// table comes from the ProcProfile when one is attached, otherwise it
-	// is seeded per solve.
-	discreteFast bool
-	curve        speed.Curve
+	// curve is the processor's E(w) over this frame: the closed
+	// continuous form, the memoized discrete ladder, or Proc.Energy
+	// itself for dormant-enable continuous processors. Its Monotone flag
+	// gates the DP final scans' exact prunings.
+	curve speed.Curve
 }
 
 // newEvalCtx validates the instance and builds its evaluation context.
@@ -113,31 +93,21 @@ func (c *evalCtx) release() { ctxPool.Load().Put(c) }
 // init validates the instance and (re)builds the context in place, reusing
 // the items backing array and the id→index map across pool generations.
 // Every field is assigned unconditionally, so a recycled context is
-// indistinguishable from a fresh one. When the instance carries a matching
-// ProcProfile, the processor re-validation and the processor-level
-// derivation are taken from the profile; both paths assign bit-identical
-// values.
+// indistinguishable from a fresh one.
 func (c *evalCtx) init(in Instance) error {
-	pp := in.procProfile
-	if pp != nil && !pp.matches(in.Proc) {
-		pp = nil
-	}
 	if err := in.Tasks.Validate(); err != nil {
 		return err
 	}
-	if pp == nil {
-		if err := in.Proc.Validate(); err != nil {
-			return err
-		}
+	if err := in.Proc.Validate(); err != nil {
+		return err
 	}
 	hetero := in.Heterogeneous()
 	if err := in.checkCombination(hetero); err != nil {
 		return err
 	}
-	m := in.Proc.Model
 
 	items := c.items[:0]
-	alpha := m.Alpha
+	alpha := in.Proc.Model.Alpha
 	cols := in.Tasks.AppendColumns(task.Columns{
 		Cycles:    growI64(c.colC, len(in.Tasks.Tasks))[:0],
 		Penalties: growF64(c.colV, len(in.Tasks.Tasks))[:0],
@@ -177,106 +147,22 @@ func (c *evalCtx) init(in Instance) error {
 	c.in = in
 	c.items = items
 	c.deadline = in.Tasks.Deadline
+	c.capacity = in.Capacity()
 	c.hetero = hetero
-	if pp != nil {
-		c.capacity = pp.maxSpeed * in.Tasks.Deadline // == in.Capacity()
-		c.convex = pp.convex
-		c.fastEnergy = pp.fastEnergy
-		c.smin = pp.smin
-		c.smax = pp.smax
-		c.pind = pp.pind
-		c.coeff = pp.coeff
-		c.alpha = pp.alpha
-	} else {
-		c.capacity = in.Capacity()
-		c.convex = in.convexEnergy()
-		c.fastEnergy = in.Proc.Levels == nil && !in.Proc.DormantEnable
-		c.smin = in.Proc.SMin
-		c.smax = in.Proc.SMax
-		c.pind = m.Static()
-		c.coeff = m.Coeff
-		c.alpha = m.Alpha
-	}
-	c.capSlack = c.capacity * (1 + 1e-9)
-	c.idleTotal = c.pind * c.deadline
-	c.hetDenom = math.Pow(c.deadline, c.alpha-1)
-	c.fastPow = in.FastPow && (c.alpha == 2 || c.alpha == 3)
-	c.discreteFast = in.Proc.Levels != nil
-	if c.discreteFast {
-		if pp != nil && pp.hasPd {
-			c.curve = speed.NewCurveWithPd(in.Proc, c.deadline, pp.pd)
-		} else {
-			c.curve = speed.NewCurve(in.Proc, c.deadline)
-		}
-	} else {
-		c.curve = speed.Curve{}
-	}
+	c.convex = in.convexEnergy()
+	c.hetDenom = math.Pow(c.deadline, alpha-1)
+	c.curve = speed.NewCurve(in.Proc, c.deadline, in.FastPow)
 	return nil
 }
 
 // fits reports whether a workload of w true cycles is schedulable;
 // identical to Instance.Fits with the capacity cached.
-func (c *evalCtx) fits(w float64) bool {
-	return w <= c.capSlack
-}
+func (c *evalCtx) fits(w float64) bool { return c.curve.Fits(w) }
 
 // energy returns E(w), the minimum energy of executing a homogeneous
-// workload of w true cycles in one frame, +Inf when infeasible. On the
-// fast path it mirrors speed.Proc.Assign's continuous, dormant-disable
-// branch operation for operation (same checks, same clamping, same order
-// of float arithmetic), so the result is bit-identical to
-// Instance.energyOf.
-func (c *evalCtx) energy(w float64) float64 {
-	if !c.fastEnergy {
-		if c.discreteFast {
-			return c.curve.Energy(w)
-		}
-		return c.in.Proc.Energy(w, c.deadline)
-	}
-	// w != w catches NaN, w < 0 catches -Inf, the capacity check catches
-	// +Inf — the same rejections speed.Proc.Assign makes, without the
-	// math.IsNaN/IsInf calls.
-	if w < 0 || w != w {
-		return math.Inf(1)
-	}
-	if w > c.capSlack {
-		return math.Inf(1)
-	}
-	if w == 0 {
-		return c.idleTotal
-	}
-	// speed.Proc.assignContinuous, dormant-disable branch: run at the
-	// slowest deadline- and hardware-feasible speed. The branches compute
-	// the same values as the math.Min(math.Max(·)) clamp there — the
-	// operands are never NaN and never signed zeros of opposite sign.
-	s := w / c.deadline
-	if s < c.smin {
-		s = c.smin
-	}
-	if s > c.smax {
-		s = c.smax
-	}
-	exec := w / s
-	var dyn float64
-	if s > 0 {
-		dyn = c.coeff * c.pow(s)
-	}
-	return (c.pind+dyn)*exec + c.pind*(c.deadline-exec)
-}
-
-// pow is s^α — math.Pow on the default path, repeated multiplication when
-// the instance opted into FastPow and α is the integer 2 or 3. The fast
-// products can differ from math.Pow in the final ulp, which is why they
-// are never the default.
-func (c *evalCtx) pow(s float64) float64 {
-	if c.fastPow {
-		if c.alpha == 3 {
-			return s * s * s
-		}
-		return s * s
-	}
-	return math.Pow(s, c.alpha)
-}
+// workload of w true cycles in one frame, +Inf when infeasible —
+// bit-identical to Instance.energyOf (see speed.Curve).
+func (c *evalCtx) energy(w float64) float64 { return c.curve.Energy(w) }
 
 // surrogate estimates the energy of an accepted set from its effective
 // workload, as Instance.surrogateEnergy does, with the heterogeneity scan
@@ -285,7 +171,7 @@ func (c *evalCtx) surrogate(wEff float64) float64 {
 	if !c.hetero {
 		return c.energy(wEff)
 	}
-	return c.coeff * c.pow(wEff) / c.hetDenom
+	return c.curve.Dynamic(wEff) / c.hetDenom
 }
 
 // evaluate builds the full Solution for an accepted ID set, exactly as the

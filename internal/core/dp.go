@@ -135,7 +135,7 @@ func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 		if rec != nil {
 			rec.begin(cap64, d.checkpointStride(), ctx.items, false, false)
 		}
-		ids, st, err = solveDense(ctx.items, cap64, ctx.energy, 1, ctx.fastEnergy, d.Workers, sc, rec)
+		ids, st, err = solveDense(ctx.items, cap64, ctx.energy, 1, ctx.curve.Monotone(), d.Workers, sc, rec)
 	}
 	if err != nil {
 		return Solution{}, st, err

@@ -230,10 +230,10 @@ func (r sparseRun) solve(d DP, ctx *evalCtx, ws []int64, fs []float64, below tak
 			perRow := (width + 63) / 64
 			sc.words = zeroedU64(sc.words, int(int64(n-i-1)*perRow))
 			dr.take = denseTake(sc.words, perRow, i+1)
-			return dr.solve(ctx.energy, 1, ctx.fastEnergy, arena, sc, st, nil)
+			return dr.solve(ctx.energy, 1, ctx.curve.Monotone(), arena, sc, st, nil)
 		}
 	}
-	bestW, _ := minCostWorkloadSparse(ws, fs, ctx.energy, 1, ctx.fastEnergy)
+	bestW, _ := minCostWorkloadSparse(ws, fs, ctx.energy, 1, ctx.curve.Monotone())
 	if bestW < 0 {
 		return nil, errNoWorkload
 	}
@@ -255,7 +255,7 @@ func (d DP) solveSparse(ctx *evalCtx, cap64 int64, sc *dpScratch, rec *DPState) 
 	// Row 0: the empty prefix reaches only workload 0 at zero penalty.
 	w0 := [1]int64{0}
 	f0 := [1]float64{0}
-	r := sparseRun{cap64: cap64, rows: &sc.spRec, prune: ctx.fastEnergy, switchover: rec == nil}
+	r := sparseRun{cap64: cap64, rows: &sc.spRec, prune: ctx.curve.Monotone(), switchover: rec == nil}
 	var onRow func(int, []int64, []float64)
 	if rec != nil {
 		rec.begin(cap64, d.checkpointStride(), ctx.items, true, r.prune)

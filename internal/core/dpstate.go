@@ -305,7 +305,7 @@ func (d DP) SolveFrom(st *DPState, in Instance, evolve bool) (sol Solution, stat
 	// Pruned sparse rows carry only the dominance frontier, which is exact
 	// only under a monotone final scan; a non-monotone instance must
 	// cold-solve.
-	if st.sparse && st.pruned && !ctx.fastEnergy {
+	if st.sparse && st.pruned && !ctx.curve.Monotone() {
 		return Solution{}, stats, false, nil
 	}
 	// Sparse states re-run under the breakpoint budget; the dense grid-area
@@ -361,5 +361,5 @@ func (d DP) warmDense(ctx *evalCtx, st *DPState, k int, evolve bool, sc *dpScrat
 		sc.words = zeroedU64(sc.words, int(int64(n-snap.row)*st.perRow))
 		r.take = denseTake(sc.words, st.perRow, snap.row)
 	}
-	return r.solve(ctx.energy, 1, ctx.fastEnergy, denseTake(st.words, st.perRow, 0), sc, stats, onRow)
+	return r.solve(ctx.energy, 1, ctx.curve.Monotone(), denseTake(st.words, st.perRow, 0), sc, stats, onRow)
 }

@@ -43,7 +43,7 @@ func CostLowerBound(in Instance, maxStates int64) (float64, error) {
 	if ctx.hetero {
 		return 0, ErrHeterogeneous
 	}
-	if !ctx.fastEnergy {
+	if !ctx.curve.Monotone() {
 		return 0, fmt.Errorf("core: cost lower bound needs a monotone energy curve (continuous speeds, dormancy disabled)")
 	}
 	cap64 := int64(math.Floor(ctx.capacity * (1 + 1e-12)))

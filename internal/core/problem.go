@@ -41,11 +41,6 @@ type Instance struct {
 	// by default and excluded from the bit-identity contract; a tolerance
 	// test bounds the drift instead.
 	FastPow bool
-
-	// procProfile, when non-nil and matching Proc, lets the evaluation
-	// context reuse the precomputed processor-level derivation. Attached
-	// via WithProcProfile; never affects results.
-	procProfile *ProcProfile
 }
 
 // ErrHeterogeneous is returned by solvers that require homogeneous power

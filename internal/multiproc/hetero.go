@@ -76,8 +76,7 @@ func procsEqual(a, b speed.Proc) bool {
 
 // heteroProc is one processor's per-solve state.
 type heteroProc struct {
-	curve    speed.Curve
-	capSlack float64 // capacity·(1+1e-9), the acceptance threshold
+	curve speed.Curve
 	// group is the index of the first processor equal to this one — the
 	// symmetry group key (group == own index for group leaders).
 	group int
@@ -107,8 +106,7 @@ func newHeteroCtx(in HeteroInstance) (*heteroCtx, error) {
 			}
 		}
 		if hp.group == i {
-			hp.curve = speed.NewCurve(p, in.Tasks.Deadline)
-			hp.capSlack = p.Capacity(in.Tasks.Deadline) * (1 + 1e-9)
+			hp.curve = speed.NewCurve(p, in.Tasks.Deadline, false)
 		}
 	}
 	return c, nil
@@ -119,8 +117,8 @@ func newHeteroCtx(in HeteroInstance) (*heteroCtx, error) {
 func (c *heteroCtx) energyAt(m int, w int64) float64 { return c.procs[m].curve.Energy(float64(w)) }
 
 // overloads reports whether w cycles exceed processor m's capacity, with
-// a 1e-9 relative float slack.
-func (c *heteroCtx) overloads(m int, w int64) bool { return float64(w) > c.procs[m].capSlack }
+// a 1e-9 relative float slack (the curve's Fits threshold).
+func (c *heteroCtx) overloads(m int, w int64) bool { return !c.procs[m].curve.Fits(float64(w)) }
 
 // evaluate costs a position vector (pos[i] = processor of task i, -1 when
 // rejected) on a validated instance.
@@ -789,9 +787,9 @@ func (s *heteroSearcher) finish() (Solution, error) {
 // HeteroPartition is the partition-then-reject solver: every task gets a
 // candidate *owner* processor, the per-processor accept/reject subproblem
 // is solved *optimally* by the single-processor rejection DP (dense or
-// sparse rows, reusing one core.ProcProfile per distinct profile), and a
-// bounded best-improvement move search re-solves the two affected
-// processors when migrating a task's ownership lowers the total cost.
+// sparse rows), and a bounded best-improvement move search re-solves the
+// two affected processors when migrating a task's ownership lowers the
+// total cost.
 // Two ownership seeds are refined and the cheaper result kept: a
 // penalty-density/normalized-load constructive pass, and the
 // HeteroLTFRejectLS solution — whose accept set each per-processor DP can
@@ -819,21 +817,6 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	tasks := in.Tasks.Tasks
 	mCount := in.M()
 
-	// One ProcProfile per distinct profile, shared across that group's DP
-	// solves.
-	profiles := make([]*core.ProcProfile, mCount)
-	for m := range profiles {
-		if g := c.procs[m].group; g != m {
-			profiles[m] = profiles[g]
-			continue
-		}
-		pp, err := core.NewProcProfile(in.Procs[m])
-		if err != nil {
-			return Solution{}, err
-		}
-		profiles[m] = pp
-	}
-
 	// Per-processor optimal accept/reject via the rejection DP. Empty
 	// ownership short-circuits to the idle-energy solution.
 	dp := core.DP{MaxStates: h.MaxStates}
@@ -846,8 +829,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		for _, ti := range owned {
 			sub.Tasks = append(sub.Tasks, tasks[ti])
 		}
-		ci := core.Instance{Tasks: sub, Proc: in.Procs[m]}.WithProcProfile(profiles[m])
-		return dp.Solve(ci)
+		return dp.Solve(core.Instance{Tasks: sub, Proc: in.Procs[m]})
 	}
 
 	// refine solves each processor's DP on the seed ownership, then runs
@@ -1151,7 +1133,7 @@ func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 	curves := make([]speed.Curve, mCount)
 	idle := 0.0
 	for m, p := range in.Procs {
-		curves[m] = speed.NewCurve(p, d)
+		curves[m] = speed.NewCurve(p, d, false)
 		idle += curves[m].Energy(0)
 	}
 

@@ -103,7 +103,7 @@ func deltaChain(buf []uint64, tasks []task.Task, cap64 int64) []uint64 {
 // an append/remove/modify-tail parent's final row lands — then walks the
 // checkpoint grid downward a bounded number of steps.
 func (di *deltaIndex) lookup(cap64 int64, chain []uint64, stride int) *core.DPState {
-	if di == nil || len(chain) == 0 {
+	if len(chain) == 0 {
 		return nil
 	}
 	n := len(chain)
@@ -139,7 +139,7 @@ func (di *deltaIndex) lookup(cap64 int64, chain []uint64, stride int) *core.DPSt
 // register files a freshly recorded state under its checkpoint rows'
 // chain values, evicting least-recently-used parents past the budgets.
 func (di *deltaIndex) register(st *core.DPState, cap64 int64, chain []uint64) {
-	if di == nil || !st.Valid() {
+	if !st.Valid() {
 		return
 	}
 	rows := st.AppendSnapshotRows(nil)
@@ -177,9 +177,6 @@ func (di *deltaIndex) register(st *core.DPState, cap64 int64, chain []uint64) {
 // clear empties the index (Engine.Reset — benchmarks measuring cold
 // solves must not be warm-started behind their back).
 func (di *deltaIndex) clear() {
-	if di == nil {
-		return
-	}
 	di.mu.Lock()
 	defer di.mu.Unlock()
 	di.lru.Init()
@@ -189,9 +186,6 @@ func (di *deltaIndex) clear() {
 
 // parents returns the resident parent count.
 func (di *deltaIndex) parents() int {
-	if di == nil {
-		return 0
-	}
 	di.mu.Lock()
 	defer di.mu.Unlock()
 	return di.lru.Len()

@@ -78,32 +78,6 @@ func TestDeltaSolveBitIdentical(t *testing.T) {
 	t.Logf("delta solves: %d of 24 misses, parents resident: %d", st.DeltaSolves, st.DeltaParents)
 }
 
-// TestDeltaDisabled checks the opt-out leaves results identical and the
-// counters at zero.
-func TestDeltaDisabled(t *testing.T) {
-	ctx := context.Background()
-	e := New(Config{DisableDelta: true})
-	base := deltaReq(9, 60)
-	if r := e.Solve(ctx, base); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	mut := mutateTail(base, 0, 0.25)
-	got := e.Solve(ctx, mut)
-	if got.Err != nil {
-		t.Fatal(got.Err)
-	}
-	want, err := directSolve(t, mut, core.SolverSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.BitIdenticalSolutions(got.Solution, want); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.DeltaSolves != 0 || st.DeltaParents != 0 {
-		t.Fatalf("disabled engine counted delta work: %+v", st)
-	}
-}
-
 // TestDeltaReset checks Reset clears the similarity index so cold
 // benchmarks stay cold.
 func TestDeltaReset(t *testing.T) {

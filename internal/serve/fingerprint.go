@@ -68,16 +68,6 @@ func Fingerprint(req Request, quantum float64) string {
 	return string(sum[:])
 }
 
-// procKey is the exact-bits digest of the processor description alone —
-// the whole profile vector for heterogeneous requests. The batch planner
-// uses it to build one ProcProfile per distinct single processor.
-func procKey(req Request) string {
-	var buf []byte
-	buf = appendProcs(buf, req, 0)
-	sum := sha256.Sum256(buf)
-	return string(sum[:])
-}
-
 // appendProcs encodes the request's processor description: a vector-length
 // prefix (0 for the single-processor form) followed by each processor.
 // The prefix keeps an M=1 heterogeneous request from aliasing the

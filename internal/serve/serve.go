@@ -6,9 +6,10 @@
 //     processor folded in);
 //   - singleflight collapsing of concurrent identical solves, so a
 //     thundering herd of the same instance costs one solver run;
-//   - a batch API that groups same-processor requests behind one shared
-//     core.ProcProfile and fans distinct instances across a bounded
-//     worker pool.
+//   - a batch API that solves bit-identical requests once and fans the
+//     distinct instances across a bounded worker pool;
+//   - a structural similarity index (delta.go) that warm-starts exact-DP
+//     cache misses from a solved near-duplicate's checkpointed rows.
 //
 // The engine never changes results: a cached or coalesced response is
 // served only after verifying the stored request is bit-identical to the
@@ -60,10 +61,6 @@ type Config struct {
 	// so the callback may retain it. It runs on the solving goroutine —
 	// keep it cheap (enqueue, don't send).
 	OnColdSolve func(req Request, sol core.Solution)
-	// DisableDelta turns off the structural similarity index (delta.go):
-	// every cache miss cold-solves. Results are never affected either
-	// way — the delta path is bit-identical by construction.
-	DisableDelta bool
 	// DeltaParents bounds the similarity index's resident DPState count;
 	// 0 means 16. Their retained state memory is bounded at 64 MiB.
 	DeltaParents int
@@ -215,7 +212,7 @@ type Engine struct {
 	cfg   Config
 	cache *cache.Sharded[entry]
 	group cache.Group[entry]
-	delta *deltaIndex // nil when DisableDelta
+	delta *deltaIndex
 
 	requests    atomic.Uint64
 	coalesced   atomic.Uint64
@@ -232,14 +229,11 @@ type Engine struct {
 // New builds an engine from cfg (zero value fine, see Config).
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{
+	return &Engine{
 		cfg:   cfg,
 		cache: cache.NewSharded[entry](cfg.Shards, cfg.EntriesPerShard),
+		delta: newDeltaIndex(cfg.DeltaParents),
 	}
-	if !cfg.DisableDelta {
-		e.delta = newDeltaIndex(cfg.DeltaParents)
-	}
-	return e
 }
 
 // Solve answers one request, consulting the plan cache and collapsing
@@ -250,14 +244,14 @@ func (e *Engine) Solve(ctx context.Context, req Request) Response {
 	if req.Solver == "" {
 		req.Solver = e.cfg.DefaultSolver
 	}
-	return e.solveOne(ctx, req, nil, Fingerprint(req, e.cfg.Quantum))
+	return e.solveOne(ctx, req, Fingerprint(req, e.cfg.Quantum))
 }
 
 // SolveBatch answers a batch of requests. Identical requests within the
 // batch are solved once and shared (marked Coalesced); distinct instances
-// fan out across the engine's worker pool; requests sharing a processor
-// share one precomputed core.ProcProfile. Responses are positionally
-// aligned with reqs and each is bit-identical to a direct solve.
+// fan out across the engine's worker pool, each through the same
+// single-request path as Solve. Responses are positionally aligned with
+// reqs and each is bit-identical to a direct solve.
 func (e *Engine) SolveBatch(ctx context.Context, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	if len(reqs) == 0 {
@@ -270,24 +264,6 @@ func (e *Engine) SolveBatch(ctx context.Context, reqs []Request) []Response {
 		if creqs[i].Solver == "" {
 			creqs[i].Solver = e.cfg.DefaultSolver
 		}
-	}
-
-	// One ProcProfile per distinct processor: same-processor requests
-	// share the validated, precomputed processor derivation. An invalid
-	// processor yields a nil profile and the solver reports the error.
-	profiles := make(map[string]*core.ProcProfile)
-	ppOf := make([]*core.ProcProfile, len(creqs))
-	for i, r := range creqs {
-		if len(r.Procs) > 0 {
-			continue // hetero solves don't use a single-processor profile
-		}
-		pk := procKey(r)
-		pp, ok := profiles[pk]
-		if !ok {
-			pp, _ = core.NewProcProfile(r.Proc)
-			profiles[pk] = pp
-		}
-		ppOf[i] = pp
 	}
 
 	// Dedup bit-identical requests: the first occurrence leads, the rest
@@ -317,7 +293,7 @@ next:
 
 	conc.ForEach(len(leaders), e.cfg.Workers, func(j int) (struct{}, error) {
 		i := leaders[j]
-		out[i] = e.solveOne(ctx, creqs[i], ppOf[i], fps[i])
+		out[i] = e.solveOne(ctx, creqs[i], fps[i])
 		return struct{}{}, nil
 	})
 
@@ -342,7 +318,7 @@ next:
 
 // solveOne is the shared single-request path: per-request deadline, cache
 // lookup with bit-exact verification, singleflight, direct-solve bypass.
-func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile, fp string) Response {
+func (e *Engine) solveOne(ctx context.Context, req Request, fp string) Response {
 	if req.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
@@ -360,13 +336,13 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 		// directly — storing would evict the slot's owner on every
 		// alternation, and correctness forbids serving its solution.
 		e.bypasses.Add(1)
-		sol, an, hi, err := e.run(req, pp)
+		sol, an, hi, err := e.run(req)
 		return Response{Solution: sol, Err: err, Anytime: an.used, Gap: an.gap, Hetero: hi}
 	}
 
 	ent, err, shared := e.group.Do(ctx, fp, func() (entry, error) {
 		creq := cloneRequest(req)
-		sol, an, hi, solveErr := e.run(creq, pp)
+		sol, an, hi, solveErr := e.run(creq)
 		if solveErr != nil {
 			return entry{}, solveErr
 		}
@@ -391,7 +367,7 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 		// Joined a flight for a colliding request: its solution is not
 		// ours. Solve directly.
 		e.bypasses.Add(1)
-		sol, an, hi, err := e.run(req, pp)
+		sol, an, hi, err := e.run(req)
 		return Response{Solution: sol, Err: err, Anytime: an.used, Gap: an.gap, Hetero: hi}
 	}
 	if shared {
@@ -400,27 +376,23 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 	return Response{Solution: cloneSolution(ent.sol), Coalesced: shared, Anytime: ent.anytime, Gap: ent.gap, Hetero: cloneHetero(ent.hetero)}
 }
 
-// run resolves the solver and executes it, attaching the precomputed
-// processor profile when one is available. DP solves route through the
+// run resolves the solver and executes it. DP solves route through the
 // delta path; jumbo requests purge the core scratch pools afterwards so
 // one huge solve stops taxing the small ones that follow.
-func (e *Engine) run(req Request, pp *core.ProcProfile) (core.Solution, anytimeNote, *HeteroInfo, error) {
-	sol, an, hi, err := e.runSolver(req, pp)
+func (e *Engine) run(req Request) (core.Solution, anytimeNote, *HeteroInfo, error) {
+	sol, an, hi, err := e.runSolver(req)
 	if len(req.Tasks.Tasks) >= jumboTasks {
 		core.PurgeSolverScratch()
 	}
 	return sol, an, hi, err
 }
 
-func (e *Engine) runSolver(req Request, pp *core.ProcProfile) (core.Solution, anytimeNote, *HeteroInfo, error) {
+func (e *Engine) runSolver(req Request) (core.Solution, anytimeNote, *HeteroInfo, error) {
 	if len(req.Procs) > 0 {
 		sol, hi, err := e.runHetero(req)
 		return sol, anytimeNote{}, hi, err
 	}
 	in := core.Instance{Tasks: req.Tasks, Proc: req.Proc, FastPow: req.FastPow}
-	if pp != nil {
-		in = in.WithProcProfile(pp)
-	}
 	if e.anytimePriced(req) {
 		if sol, an, aerr := e.anytimeSolve(req, in); aerr == nil {
 			return sol, an, nil, nil
@@ -433,16 +405,7 @@ func (e *Engine) runSolver(req Request, pp *core.ProcProfile) (core.Solution, an
 		return core.Solution{}, anytimeNote{}, nil, err
 	}
 	if dp, ok := solver.(core.DP); ok {
-		var sol core.Solution
-		if e.delta != nil {
-			sol, err = e.deltaSolve(dp, req, in)
-		} else {
-			var stats core.DPStats
-			sol, stats, err = dp.SolveStats(in)
-			if err == nil {
-				e.noteDPStats(stats)
-			}
-		}
+		sol, err := e.deltaSolve(dp, req, in)
 		if err != nil && e.anytimeFallback(req, err) {
 			if asol, an, aerr := e.anytimeSolve(req, in); aerr == nil {
 				return asol, an, nil, nil

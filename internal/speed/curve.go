@@ -7,12 +7,11 @@ import (
 )
 
 // Curve is the energy curve E(w) of one processor over a fixed frame
-// length, precomputed for repeated probing. Solvers that evaluate many
-// candidate workloads against the same processor (the multiprocessor
-// local search probes O(n²·M) of them per iteration; the rejection DP's
-// final scan probes one per frontier level) build one Curve per solve
-// instead of paying Proc.Assign's validation and candidate enumeration on
-// every probe.
+// length, precomputed for repeated probing. It is the single fast E(w) of
+// the repository: every solver — the single-processor rejection solvers
+// through core's evaluation context, the multiprocessor and heterogeneous
+// tiers per processor — builds one Curve per solve instead of paying
+// Proc.Assign's validation and candidate enumeration on every probe.
 //
 // Exactness contract: Energy(w) reproduces Proc.Energy(w, d) bit for bit.
 // On continuous-speed dormant-disable processors it mirrors the float
@@ -22,13 +21,15 @@ import (
 // a power.PdTable — each level's P(s) is computed once through the same
 // Pind + Pd(s) sum and reused, so every probe returns the identical bits
 // without the per-level math.Pow. Every other flavour falls back to
-// Proc.Energy itself. The zero Curve is not usable; construct with
-// NewCurve.
+// Proc.Energy itself. The one opt-out is fastPow (see NewCurve), which
+// trades the last ulp of s^α for integer multiplies. The zero Curve is not
+// usable; construct with NewCurve.
 type Curve struct {
 	proc     Proc
 	deadline float64
 
 	fast       bool    // closed continuous-speed form applies
+	fastPow    bool    // pow multiplies instead of math.Pow (α ∈ {2, 3})
 	capSlack   float64 // capacity·(1+feasibilitySlack)
 	smin, smax float64
 	pind       float64 // static power Pind
@@ -47,20 +48,13 @@ type Curve struct {
 // NewCurve builds the curve for workloads executed within a frame of
 // length d on p. The processor and frame length must already be valid (as
 // Proc.Energy assumes); invalid workloads still price to +Inf. Discrete
-// processors seed a fresh Pd table; batch callers sharing one processor
-// across many solves can reuse a prebuilt table via NewCurveWithPd.
-func NewCurve(p Proc, d float64) Curve {
-	var pd power.PdTable
-	if p.Levels != nil {
-		pd = power.NewPdTable(p.Model, p.Levels)
-	}
-	return NewCurveWithPd(p, d, pd)
-}
-
-// NewCurveWithPd is NewCurve reusing a memo table built by
-// power.NewPdTable(p.Model, p.Levels); the table is ignored on
-// continuous-speed processors.
-func NewCurveWithPd(p Proc, d float64, pd power.PdTable) Curve {
+// processors seed a fresh Pd table.
+//
+// fastPow (core.Instance.FastPow) routes the closed continuous form's s^α
+// through integer multiplies when α is 2 or 3. The products can differ
+// from math.Pow in the final ulp, so the bit-identity contract holds only
+// with fastPow off; every other flavour ignores it.
+func NewCurve(p Proc, d float64, fastPow bool) Curve {
 	m := p.Model
 	c := Curve{
 		proc:      p,
@@ -74,10 +68,11 @@ func NewCurveWithPd(p Proc, d float64, pd power.PdTable) Curve {
 		alpha:     m.Alpha,
 		idleTotal: m.Static() * d,
 	}
+	c.fastPow = fastPow && c.fast && (m.Alpha == 2 || m.Alpha == 3)
 	if p.Levels != nil {
 		c.fastDiscrete = true
 		c.levels = p.Levels
-		c.pd = pd
+		c.pd = power.NewPdTable(m, p.Levels)
 		c.dormant = p.DormantEnable
 		c.esw = p.Esw
 		c.idleFrame, _ = p.idleCost(d)
@@ -91,6 +86,24 @@ func (c *Curve) Capacity() float64 { return c.proc.Capacity(c.deadline) }
 // Fits reports whether a workload of w cycles is schedulable, with the
 // same float slack Proc.Assign applies.
 func (c *Curve) Fits(w float64) bool { return w <= c.capSlack }
+
+// Monotone reports whether E(w) is known non-decreasing in w: true on the
+// closed continuous dormant-disable form (convex or not), false on
+// discrete ladders and dormant-enable break-even plateaus.
+func (c *Curve) Monotone() bool { return c.fast }
+
+// Dynamic returns the dynamic power Coeff·s^α — the term the closed
+// continuous form charges, and the numerator of core's heterogeneous
+// surrogate. s^α is math.Pow unless the curve was built with fastPow.
+func (c *Curve) Dynamic(s float64) float64 {
+	if c.fastPow {
+		if c.alpha == 3 {
+			return c.coeff * (s * s * s)
+		}
+		return c.coeff * (s * s)
+	}
+	return c.coeff * math.Pow(s, c.alpha)
+}
 
 // Energy returns E(w) = Proc.Energy(w, deadline), +Inf when infeasible.
 func (c *Curve) Energy(w float64) float64 {
@@ -120,7 +133,7 @@ func (c *Curve) Energy(w float64) float64 {
 		exec := w / s
 		var dyn float64
 		if s > 0 {
-			dyn = c.coeff * math.Pow(s, c.alpha)
+			dyn = c.Dynamic(s)
 		}
 		return (c.pind+dyn)*exec + c.pind*(c.deadline-exec)
 	}

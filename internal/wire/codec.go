@@ -152,6 +152,11 @@ func DecodeReplicate(payload []byte) (Request, core.Solution, error) {
 	if err != nil {
 		return Request{}, core.Solution{}, err
 	}
+	if res.CacheHit || res.Coalesced {
+		// EncodeReplicate never sets them; accepting them would make two
+		// payloads decode to the same replicate.
+		return Request{}, core.Solution{}, fmt.Errorf("wire: decoding replicate: result flags set")
+	}
 	return req, res.Solution, nil
 }
 

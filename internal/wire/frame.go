@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,12 +48,31 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if n < 2 {
 		return 0, nil, fmt.Errorf("wire: frame length %d, want ≥ 2", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int64(n))
+	if err != nil {
 		return 0, nil, io.ErrUnexpectedEOF
 	}
 	if body[0] != Version {
 		return 0, nil, fmt.Errorf("%w: got %d, speak %d", ErrVersion, body[0], Version)
 	}
 	return FrameType(body[1]), body[2:], nil
+}
+
+// exactFrameMax is the largest frame body ReadFrame allocates up front.
+const exactFrameMax = 64 << 10
+
+// readBody reads exactly n bytes. Bodies up to exactFrameMax get one
+// exact-size allocation; larger ones grow with the bytes actually
+// received, so a length word promising MaxFrame commits no memory ahead
+// of the body that backs it.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n <= exactFrameMax {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(exactFrameMax)
+	_, err := io.CopyN(&buf, r, n)
+	return buf.Bytes(), err
 }

@@ -2,10 +2,12 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -137,12 +139,29 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	if _, err := wire.DecodeRequest(bad); err == nil {
 		t.Error("bool byte 2 accepted")
 	}
+	// A replicate carries a bare solution: the embedded result's flags
+	// byte (cache hit, coalesced) must be zero.
+	rep := wire.EncodeReplicate(reqPool()[1], core.Solution{Accepted: []int{3}})
+	rep[len(enc)] = 2
+	if _, _, err := wire.DecodeReplicate(rep); err == nil {
+		t.Error("replicate with result flags accepted")
+	}
+}
+
+// largePayload is a frame body well past ReadFrame's up-front allocation
+// limit, so reading it takes the grow-as-received path.
+func largePayload() []byte {
+	p := make([]byte, 1<<20+3)
+	for i := range p {
+		p[i] = byte(i * 7)
+	}
+	return p
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := [][]byte{wire.EncodeRequest(reqPool()[1]), wire.EncodeError(wire.Error{Code: 504}), {}}
-	types := []wire.FrameType{wire.FrameSolve, wire.FrameError, wire.FrameReplicate}
+	payloads := [][]byte{wire.EncodeRequest(reqPool()[1]), wire.EncodeError(wire.Error{Code: 504}), {}, largePayload()}
+	types := []wire.FrameType{wire.FrameSolve, wire.FrameError, wire.FrameReplicate, wire.FrameReplicate}
 	for i := range payloads {
 		if err := wire.WriteFrame(&buf, types[i], payloads[i]); err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -179,6 +198,26 @@ func TestFrameErrors(t *testing.T) {
 	big := []byte{0xff, 0xff, 0xff, 0xff, wire.Version, 1}
 	if _, _, err := wire.ReadFrame(bytes.NewReader(big)); err == nil {
 		t.Error("oversized length accepted")
+	}
+	// A body past the up-front allocation limit, truncated by one byte.
+	buf.Reset()
+	wire.WriteFrame(&buf, wire.FrameReplicate, largePayload())
+	if _, _, err := wire.ReadFrame(bytes.NewReader(buf.Bytes()[:buf.Len()-1])); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated large frame: got %v, want ErrUnexpectedEOF", err)
+	}
+	// A MaxFrame length word backed by a short body must fail without
+	// committing the declared 64 MiB.
+	short := binary.LittleEndian.AppendUint32(nil, wire.MaxFrame)
+	short = append(short, wire.Version, byte(wire.FrameSolve), 'x')
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := wire.ReadFrame(bytes.NewReader(short))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("short MaxFrame body: got %v, want ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("short MaxFrame body allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 
